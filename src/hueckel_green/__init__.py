@@ -11,7 +11,7 @@ number-theoretic predicate backed by a cyclotomic-integer oracle.
 
 from .chains import (ChainSpec, EigenSystem, Topology, analytic_eigensystem,
                      build_hamiltonian, spectral_resolvent_entry,
-                     transmission_proxy)
+                     spectral_resolvent_matrix, transmission_proxy)
 from .circulant import (CirculantSpec, circulant_inverse_dft, circulant_matrix,
                         cyclic_inverse_first_column, cyclic_kernel_basis,
                         det_cyclic, symbol_factorization_inverse)

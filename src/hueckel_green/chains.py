@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (AlternatingOddN, CycleTooSmall, EnergyAtPole,
                      IndexOutOfRange, UnsupportedCouplings)
-from .exact import ExactMatrix, Rational, as_rational
+from .exact import ExactMatrix, Rational, as_rational, guard_dense
 
 _ONE = Fraction(1)
 
@@ -97,6 +97,7 @@ def build_hamiltonian(spec: ChainSpec) -> ExactMatrix:
     collapses to the single-edge matrix, consistent with its determinant.
     """
     n = spec.n_sites
+    guard_dense(n)
     data = [Fraction(0)] * (n * n)
     for b in range(1, n):
         c = bond_coupling(spec, b)
@@ -123,6 +124,7 @@ def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
     """
     _require_uniform(spec)
     n = spec.n_sites
+    guard_dense(n)
     if spec.topology is Topology.OPEN:
         omega = math.pi / (n + 1)
         r = np.arange(1, n + 1)
@@ -145,23 +147,39 @@ def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
     return EigenSystem(lam, q, omega)
 
 
-def spectral_resolvent_entry(spec: ChainSpec, r: int, s: int, energy: float) -> float:
-    """Principal-value resolvent entry sum_k C_rk C_sk / (E - eps_k).
-
-    Defined for uniform couplings and E away from the spectrum; at E = 0
-    this equals the zero-energy Green's function entry G(r, s).
-    """
-    _require_uniform(spec)
-    spec.check_site(r)
-    spec.check_site(s)
+def _modes_and_gaps(spec: ChainSpec, energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and E - eps_k, refusing an energy on the spectrum."""
     system = analytic_eigensystem(spec)
     gaps = energy - system.eigenvalues
     nearest = float(np.min(np.abs(gaps)))
     if nearest < 1e-9:
         raise EnergyAtPole(
             f"E={energy} within 1e-9 of an eigenvalue (gap {nearest:.3e})")
-    weights = system.eigenvectors[r - 1] * system.eigenvectors[s - 1]
-    return float(np.sum(weights / gaps))
+    return system.eigenvectors, gaps
+
+
+def spectral_resolvent_entry(spec: ChainSpec, r: int, s: int, energy: float) -> float:
+    """Principal-value resolvent entry sum_k C_rk C_sk / (E - eps_k).
+
+    Defined for uniform couplings and E away from the spectrum; at E = 0
+    this equals the zero-energy Green's function entry G(r, s).  The sum
+    is O(N), but the eigensystem behind it costs O(N^2).
+    """
+    _require_uniform(spec)
+    spec.check_site(r)
+    spec.check_site(s)
+    modes, gaps = _modes_and_gaps(spec, energy)
+    return float(np.sum(modes[r - 1] * modes[s - 1] / gaps))
+
+
+def spectral_resolvent_matrix(spec: ChainSpec, energy: float) -> np.ndarray:
+    """Every entry of `spectral_resolvent_entry`, from one eigensystem.
+
+    O(N^3): each row is one N x N product summed along the modes, in the
+    same order as the entry's sum, so the two agree bit for bit.
+    """
+    modes, gaps = _modes_and_gaps(spec, energy)
+    return np.array([((row * modes) / gaps).sum(axis=1) for row in modes])
 
 
 def transmission_proxy(g: ExactMatrix, r: int, s: int) -> Rational:

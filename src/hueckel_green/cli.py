@@ -17,18 +17,17 @@ import argparse
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import verify
 from .chains import (ChainSpec, Topology, build_hamiltonian,
-                     spectral_resolvent_entry)
+                     spectral_resolvent_entry, spectral_resolvent_matrix)
 from .circulant import det_cyclic
 from .closed_form import GreenEntryQuery, det_open, green_entry, green_matrix
 from .errors import HueckelError, SingularMatrix, UnsupportedCouplings
 from .oracle import lu_inverse
 from .output import (Format, decision_document, matrix_document, matrix_rows,
                      parse_rational, report_document, scalar_document)
-from .tridiagonal import TridiagonalSpec, usmani_inverse
+from .tridiagonal import (TridiagonalSpec, require_invertible, usmani_entry,
+                          usmani_inverse)
 from .vanishing_sums import (DEFAULT_SEARCH_BUDGET, InvertibilityQuery,
                              find_vanishing_witness, invertibility_reason,
                              is_invertible)
@@ -107,11 +106,12 @@ def _green_by_method(spec: ChainSpec, args):
             return green_entry(GreenEntryQuery(spec, args.r, args.s)), True
         return green_matrix(spec), True
     if method == "usmani":
-        g = -usmani_inverse(TridiagonalSpec.from_chain(spec))
+        tri = TridiagonalSpec.from_chain(spec)
         if single:
+            tables = require_invertible(tri)        # singular before indices
             GreenEntryQuery(spec, args.r, args.s)   # validates the indices
-            return g.get(args.r - 1, args.s - 1), True
-        return g, True
+            return -usmani_entry(tri, args.r, args.s, tables), True
+        return -usmani_inverse(tri), True
     if method == "numeric":
         g = -lu_inverse(build_hamiltonian(spec).to_float())
         if single:
@@ -122,10 +122,7 @@ def _green_by_method(spec: ChainSpec, args):
     _raise_if_singular_uniform(spec)
     if single:
         return spectral_resolvent_entry(spec, args.r, args.s, 0.0), False
-    n = spec.n_sites
-    rows = [[spectral_resolvent_entry(spec, r, s, 0.0) for s in range(1, n + 1)]
-            for r in range(1, n + 1)]
-    return np.array(rows), False
+    return spectral_resolvent_matrix(spec, 0.0), False
 
 
 def _raise_if_singular_uniform(spec: ChainSpec) -> None:

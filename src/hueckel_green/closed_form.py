@@ -5,18 +5,23 @@ module returns Green's function entries, i.e. the *negated* inverse of the
 corresponding Hamiltonian.  Entries use 1-based site indices; formulas
 stated for one ordering of (r, s) are extended by the symmetry
 G(r, s) = G(s, r), canonicalizing to r >= s first.
+
+Each form is a per-chain kernel: it validates the spec once, builds the
+form's constants (the sign pattern, the mod-4 ring pattern, or the
+alpha/beta powers, each formed on first use), and returns an O(1) entry
+function.  Single entries and `green_matrix` call the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .chains import ChainSpec, Topology
-from .circulant import cyclic_inverse_first_column
 from .errors import (CycleTooSmall, IndexOutOfRange, SingularMatrix,
                      UnsupportedCouplings, ZeroCoupling)
-from .exact import ExactMatrix, Rational
+from .exact import ExactMatrix, Rational, guard_dense
 from .trig import direct_green_sum
 
 _ZERO = Fraction(0)
@@ -46,38 +51,46 @@ def det_open(n: int) -> int:
     return -1 if (n // 2) % 2 else 1
 
 
-def _sign_pm(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
+# Diagonal pattern of the uniform ring's inverse, keyed by N mod 4: the
+# first column of H^{-1} holds pattern[k % 4] / 2 at offset k.  N = 4k has
+# no inverse.
+CYCLIC_PATTERNS = {1: (1, 1, -1, -1), 2: (0, 1, 0, -1), 3: (-1, 1, 1, -1)}
+
+_PLUS_MINUS = (Fraction(1), Fraction(-1))   # indexed by exponent % 2
+
+EntryFn = Callable[[int, int], Rational]
 
 
-def green_open(q: GreenEntryQuery) -> Rational:
-    """Uniform open chain, N even: entries are 0 or +-1.
-
-    Nonzero exactly when r and s have opposite parity and the even index
-    exceeds the odd one, with value (-1)^((r+s-1)/2); all same-parity
-    entries vanish (alternancy).
-    """
-    spec = q.spec
+def _open_kernel(spec: ChainSpec) -> EntryFn:
     if not spec.is_uniform:
         raise UnsupportedCouplings("green_open needs unit couplings")
     if spec.n_sites % 2:
         raise SingularMatrix("N odd", n=spec.n_sites)
-    r, s = q.r, q.s
-    if (r + s) % 2 == 0:
-        return _ZERO
-    even, odd = (r, s) if r % 2 == 0 else (s, r)
-    if even < odd:
-        return _ZERO
-    return Fraction(_sign_pm((r + s - 1) // 2))
+
+    def entry(r: int, s: int) -> Rational:
+        if (r + s) % 2 == 0:
+            return _ZERO
+        even, odd = (r, s) if r % 2 == 0 else (s, r)
+        if even < odd:
+            return _ZERO
+        return _PLUS_MINUS[(r + s - 1) // 2 % 2]
+    return entry
 
 
-def green_bond_alternating(q: GreenEntryQuery) -> Rational:
-    """Open chain with alternating couplings beta, alpha, beta, ...
+def _signed_powers(base: Rational, divisor: Rational) -> Callable[[int], tuple]:
+    """k -> (base^k / divisor, -base^k / divisor), each power formed once."""
+    table: dict[int, tuple[Rational, Rational]] = {}
 
-    Two-branch closed form with (alpha/beta) powers and parity brackets;
-    reduces to `green_open` when both couplings are one.
-    """
-    spec = q.spec
+    def powers(k: int) -> tuple[Rational, Rational]:
+        pair = table.get(k)
+        if pair is None:
+            value = base ** k / divisor
+            pair = table[k] = (value, -value)
+        return pair
+    return powers
+
+
+def _alternating_open_kernel(spec: ChainSpec) -> EntryFn:
     if spec.topology is not Topology.OPEN:
         raise UnsupportedCouplings("open-chain formula")
     if spec.n_sites % 2:
@@ -85,20 +98,17 @@ def green_bond_alternating(q: GreenEntryQuery) -> Rational:
     beta, alpha = spec.coupling_odd, spec.coupling_even
     if beta == 0 or alpha == 0:
         raise ZeroCoupling("couplings must be nonzero")
-    r, s = max(q.r, q.s), min(q.r, q.s)   # canonicalize to r >= s
-    if r % 2 or s % 2 == 0:
-        return _ZERO   # parity brackets {1-(-1)^s}{1+(-1)^r} vanish
-    ratio = alpha / beta
-    return (_sign_pm((r + s - 1) // 2) / beta) * ratio ** ((r - s - 1) // 2)
+    powers = _signed_powers(alpha / beta, beta)
+
+    def entry(r: int, s: int) -> Rational:
+        r, s = max(r, s), min(r, s)   # canonicalize to r >= s
+        if r % 2 or s % 2 == 0:
+            return _ZERO   # parity brackets {1-(-1)^s}{1+(-1)^r} vanish
+        return powers((r - s - 1) // 2)[(r + s - 1) // 2 % 2]
+    return entry
 
 
-def green_cyclic(q: GreenEntryQuery) -> Rational:
-    """Uniform cycle, N not a multiple of 4: entries are 0 or +-1/2.
-
-    The inverse is circulant, so the entry only depends on (r - s) mod N;
-    negate the first column of the inverse to get G.
-    """
-    spec = q.spec
+def _cyclic_kernel(spec: ChainSpec) -> EntryFn:
     if spec.topology is not Topology.CYCLIC:
         raise UnsupportedCouplings("cyclic formula")
     if not spec.is_uniform:
@@ -108,18 +118,14 @@ def green_cyclic(q: GreenEntryQuery) -> Rational:
         raise CycleTooSmall("cyclic Green's function needs N >= 3")
     if n % 4 == 0:
         raise SingularMatrix("N=4k", n=n)
-    column = cyclic_inverse_first_column(n).first_column
-    return -column[(q.r - q.s) % n]
+    values = tuple(Fraction(-p, 2) for p in CYCLIC_PATTERNS[n % 4])
+
+    def entry(r: int, s: int) -> Rational:
+        return values[(r - s) % n % 4]
+    return entry
 
 
-def green_cyclic_bond_alternating(q: GreenEntryQuery) -> Rational:
-    """Cycle with alternating couplings (N even, N >= 4).
-
-    Four-term closed form; the two geometric denominators
-    1 - (-alpha/beta)^(N/2) and 1 - (-beta/alpha)^(N/2) are checked
-    exactly and reproduce the N = 4k singularity at equal couplings.
-    """
-    spec = q.spec
+def _alternating_cyclic_kernel(spec: ChainSpec) -> EntryFn:
     if spec.topology is not Topology.CYCLIC:
         raise UnsupportedCouplings("cyclic formula")
     n = spec.n_sites
@@ -136,34 +142,84 @@ def green_cyclic_bond_alternating(q: GreenEntryQuery) -> Rational:
     if den_ab == 0 or den_ba == 0:
         case = "N=4k" if alpha == beta else "alternating denominator"
         raise SingularMatrix(case, n=n)
-    r, s = q.r, q.s
-    shift = (r - s - 1) if r > s else (n + r - s - 1)
-    total = _ZERO
-    if r % 2 == 0 and s % 2 == 1:
-        total += (-alpha / beta) ** (shift // 2) / (beta * den_ab)
-    if r % 2 == 1 and s % 2 == 0:
-        total += (-beta / alpha) ** (shift // 2) / (alpha * den_ba)
-    return -total
+    # G = -(the term whose parity applies); index 1 picks the negation
+    from_odd = _signed_powers(-alpha / beta, beta * den_ab)
+    from_even = _signed_powers(-beta / alpha, alpha * den_ba)
+
+    def entry(r: int, s: int) -> Rational:
+        if r % 2 == s % 2:
+            return _ZERO
+        shift = (r - s - 1) if r > s else (n + r - s - 1)
+        powers = from_odd if r % 2 == 0 else from_even
+        return powers(shift // 2)[1]
+    return entry
+
+
+def _entry_kernel(spec: ChainSpec) -> EntryFn:
+    """Validate ``spec`` once and return its O(1) entry function (r, s) -> G."""
+    if spec.topology is Topology.OPEN:
+        if spec.is_uniform:
+            return _open_kernel(spec)
+        return _alternating_open_kernel(spec)
+    if spec.is_uniform:
+        return _cyclic_kernel(spec)
+    return _alternating_cyclic_kernel(spec)
+
+
+def green_open(q: GreenEntryQuery) -> Rational:
+    """Uniform open chain, N even: entries are 0 or +-1.
+
+    Nonzero exactly when r and s have opposite parity and the even index
+    exceeds the odd one, with value (-1)^((r+s-1)/2); all same-parity
+    entries vanish (alternancy).
+    """
+    return _open_kernel(q.spec)(q.r, q.s)
+
+
+def green_bond_alternating(q: GreenEntryQuery) -> Rational:
+    """Open chain with alternating couplings beta, alpha, beta, ...
+
+    Two-branch closed form with (alpha/beta) powers and parity brackets;
+    reduces to `green_open` when both couplings are one.
+    """
+    return _alternating_open_kernel(q.spec)(q.r, q.s)
+
+
+def green_cyclic(q: GreenEntryQuery) -> Rational:
+    """Uniform cycle, N not a multiple of 4: entries are 0 or +-1/2.
+
+    The inverse is circulant, so the entry only depends on (r - s) mod N,
+    and within that only on its residue mod 4 (`CYCLIC_PATTERNS`).
+    """
+    return _cyclic_kernel(q.spec)(q.r, q.s)
+
+
+def green_cyclic_bond_alternating(q: GreenEntryQuery) -> Rational:
+    """Cycle with alternating couplings (N even, N >= 4).
+
+    Four-term closed form; the two geometric denominators
+    1 - (-alpha/beta)^(N/2) and 1 - (-beta/alpha)^(N/2) are checked
+    exactly and reproduce the N = 4k singularity at equal couplings.
+    """
+    return _alternating_cyclic_kernel(q.spec)(q.r, q.s)
 
 
 def green_entry(q: GreenEntryQuery) -> Rational:
     """Dispatch to the applicable closed form for this chain spec."""
-    spec = q.spec
-    if spec.topology is Topology.OPEN:
-        if spec.is_uniform:
-            return green_open(q)
-        return green_bond_alternating(q)
-    if spec.is_uniform:
-        return green_cyclic(q)
-    return green_cyclic_bond_alternating(q)
+    return _entry_kernel(q.spec)(q.r, q.s)
 
 
 def green_matrix(spec: ChainSpec) -> ExactMatrix:
-    """Assemble the full Green's function matrix from the closed forms."""
+    """Assemble the full Green's function matrix from the closed forms.
+
+    The spec is validated and its constants built once, so assembly is
+    O(N^2): one O(1) kernel call per entry.
+    """
+    entry = _entry_kernel(spec)
     n = spec.n_sites
-    entries = [green_entry(GreenEntryQuery(spec, r, s))
-               for r in range(1, n + 1) for s in range(1, n + 1)]
-    return ExactMatrix(n, n, entries)
+    guard_dense(n)
+    sites = range(1, n + 1)
+    return ExactMatrix(n, n, [entry(r, s) for r in sites for s in sites])
 
 
 def harmonic_sum_identity_check(n: int, r: int, s: int) -> tuple[float, Rational]:

@@ -4,22 +4,40 @@
 function in the package.  Entries are `fractions.Fraction`, which keeps them
 in lowest terms with a positive denominator for free.  Alongside the type
 live the exact routines the engines need: fraction-free (Bareiss)
-determinants, Gauss-Jordan inversion and a single-system solve.
+determinants, Gauss-Jordan inversion and a single-system solve, plus the
+memory guard every dense builder checks before it allocates.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import SingularMatrix, TooLarge
 
 Rational = Fraction
 
+DEFAULT_MAX_CELLS = 2 ** 20
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def max_cells() -> int:
+    """Memory guard for builders; HUECKEL_MAX_CELLS overrides the default."""
+    value = os.environ.get("HUECKEL_MAX_CELLS")
+    return int(value) if value else DEFAULT_MAX_CELLS
+
+
+def guard_dense(n: int) -> None:
+    """Raise TooLarge before an n x n dense matrix is allocated past the guard."""
+    limit = max_cells()
+    if n * n > limit:
+        raise TooLarge(
+            f"{n}x{n} matrix ({n * n} cells) exceeds the memory guard ({limit})")
 
 
 def as_rational(value) -> Fraction:

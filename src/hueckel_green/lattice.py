@@ -14,25 +14,17 @@ flat = sum_i (k_i - 1) N^(d-i) + 1.  Open boundaries only.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetExhausted, IndexOutOfRange, SingularLattice, TooLarge
-from .exact import ExactMatrix
+from .exact import ExactMatrix, max_cells
 from .vanishing_sums import InvertibilityQuery, find_vanishing_witness, is_invertible
 
-DEFAULT_MAX_CELLS = 2 ** 20
 MAX_DENSE_SITES = 4096
 _WITNESS_BUDGET = 500_000
-
-
-def max_cells() -> int:
-    """Memory guard for builders; HUECKEL_MAX_CELLS overrides the default."""
-    value = os.environ.get("HUECKEL_MAX_CELLS")
-    return int(value) if value else DEFAULT_MAX_CELLS
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Everything here runs in exact rational arithmetic; there is deliberately no
 floating-point path in this module.  The forward table theta ends in the
-determinant, and together with the backward table phi gives every entry of
-the inverse in O(1) once the tables exist.
+determinant, and together with the backward table phi gives the entries of
+the inverse: the full inverse in O(N^2), a single entry in O(N).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .chains import ChainSpec, Topology, bond_coupling
 from .errors import SingularMatrix, UnsupportedCouplings
-from .exact import ExactMatrix, Rational, as_rational
+from .exact import ExactMatrix, Rational, as_rational, guard_dense
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -102,8 +102,9 @@ def theta_phi(spec: TridiagonalSpec) -> ThetaPhiTables:
     return ThetaPhiTables(tuple(theta), tuple(phi))
 
 
-def _require_invertible(spec: TridiagonalSpec,
-                        tables: ThetaPhiTables | None) -> ThetaPhiTables:
+def require_invertible(spec: TridiagonalSpec,
+                       tables: ThetaPhiTables | None = None) -> ThetaPhiTables:
+    """The recursion tables of ``spec``; SingularMatrix when theta_N = 0."""
     tables = tables or theta_phi(spec)
     if tables.determinant == 0:
         raise SingularMatrix("theta_N = 0", n=spec.n, theta=tables.theta)
@@ -112,11 +113,15 @@ def _require_invertible(spec: TridiagonalSpec,
 
 def usmani_entry(spec: TridiagonalSpec, r: int, s: int,
                  tables: ThetaPhiTables | None = None) -> Rational:
-    """Single entry (r, s) of the inverse, 1-based, in O(N)."""
+    """Single entry (r, s) of the inverse, 1-based, in O(N).
+
+    O(N) covers building the tables when none are passed; with them it is
+    O(|r - s|) for the coupling product.
+    """
     n = spec.n
     if not (1 <= r <= n and 1 <= s <= n):
         raise IndexError((r, s))
-    tables = _require_invertible(spec, tables)
+    tables = require_invertible(spec, tables)
     det = tables.determinant
     if r == s:
         return tables.theta_at(r - 1) * tables.phi_at(r + 1) / det
@@ -139,7 +144,8 @@ def usmani_inverse(spec: TridiagonalSpec) -> ExactMatrix:
     which keeps the full inverse at O(N^2) instead of O(N^3).
     """
     n = spec.n
-    tables = _require_invertible(spec, None)
+    tables = require_invertible(spec)
+    guard_dense(n)
     det = tables.determinant
     data = [_ZERO] * (n * n)
     for r in range(1, n + 1):

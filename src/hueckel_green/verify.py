@@ -19,7 +19,7 @@ from . import closed_form, trig
 from .chains import ChainSpec, Topology, build_hamiltonian
 from .circulant import (cyclic_inverse_first_column, cyclic_kernel_basis,
                         det_cyclic, symbol_factorization_inverse)
-from .closed_form import GreenEntryQuery, green_matrix
+from .closed_form import CYCLIC_PATTERNS, GreenEntryQuery, green_matrix
 from .errors import SingularMatrix
 from .exact import ExactMatrix, det_fraction_free, inverse_exact, mat_vec
 from .lattice import (LatticeSpec, build_lattice_hamiltonian,
@@ -142,11 +142,8 @@ def suite_cyclic(max_n: int, rng: random.Random) -> list[dict]:
     ]
 
 
-_DIAG_PATTERNS = {1: (1, 1, -1, -1), 2: (0, 1, 0, -1), 3: (-1, 1, 1, -1)}
-
-
 def _cyclic_pattern_holds(n: int, column) -> bool:
-    base = _DIAG_PATTERNS[n % 4]
+    base = CYCLIC_PATTERNS[n % 4]
     if set(column) - _ALLOWED_CYCLIC:
         return False
     return all(2 * column[k] == base[k % 4] for k in range(n))

@@ -12,7 +12,7 @@ from hueckel_green import (AlternatingOddN, ChainSpec, CycleTooSmall,
                            IndexOutOfRange, Topology, UnsupportedCouplings,
                            analytic_eigensystem, build_hamiltonian,
                            green_matrix, green_open, spectral_resolvent_entry,
-                           transmission_proxy)
+                           spectral_resolvent_matrix, transmission_proxy)
 
 from oracles import cofactor_inverse
 
@@ -157,6 +157,29 @@ def test_resolvent_away_from_zero_matches_dense_resolvent():
     for r, s in ((1, 1), (2, 7), (4, 4)):
         assert spectral_resolvent_entry(spec, r, s, energy) == pytest.approx(
             dense[r - 1, s - 1], abs=1e-10)
+
+
+@pytest.mark.parametrize("topology,n,energy", [
+    (Topology.OPEN, 1, 0.3), (Topology.OPEN, 2, 0.0), (Topology.OPEN, 3, 0.37),
+    (Topology.OPEN, 6, 0.0), (Topology.OPEN, 35, 0.37), (Topology.OPEN, 90, 0.0),
+    (Topology.CYCLIC, 3, 0.0), (Topology.CYCLIC, 5, 0.37),
+    (Topology.CYCLIC, 35, 0.0), (Topology.CYCLIC, 42, 0.0),
+])
+def test_resolvent_matrix_is_entrywise_bit_for_bit(topology, n, energy):
+    spec = ChainSpec(topology, n)
+    entrywise = np.array([[spectral_resolvent_entry(spec, r, s, energy)
+                           for s in range(1, n + 1)] for r in range(1, n + 1)])
+    matrix = spectral_resolvent_matrix(spec, energy)
+    assert matrix.shape == (n, n)
+    assert np.array_equal(matrix, entrywise)
+
+
+def test_resolvent_matrix_rejects_pole_and_couplings():
+    with pytest.raises(EnergyAtPole):
+        spectral_resolvent_matrix(ChainSpec(Topology.OPEN, 5), 0.0)
+    with pytest.raises(UnsupportedCouplings):
+        spectral_resolvent_matrix(
+            ChainSpec(Topology.OPEN, 4, coupling_odd=2, coupling_even=1), 0.0)
 
 
 def test_transmission_from_closed_form_matrix():

@@ -166,3 +166,72 @@ def test_green_json_round_trip():
     doc = json.loads(result.stdout)
     assert doc["exact"] is True
     assert doc["entries"][0][0] == "-1/2"
+
+
+def run_in_process(*args):
+    """(exit code, stdout, stderr) of `cli.main` called in this process."""
+    import contextlib
+    import io
+
+    from hueckel_green import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("n,beta,alpha", [
+    (8, "1", "1"), (30, "1", "1"), (12, "2", "1/3"), (10, "-3/2", "5/7"),
+])
+def test_usmani_point_query_matches_dense_route(n, beta, alpha):
+    chain = ("--topology", "open", "--n", str(n), f"--beta={beta}",
+             f"--alpha={alpha}", "--method", "usmani")
+    code, out, err = run_in_process("green", *chain)
+    dense = [line.split(",") for line in out.splitlines()]
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            point = run_in_process("green", *chain, "--r", str(r), "--s", str(s))
+            assert point == (code, dense[r - 1][s - 1] + "\n", err), (r, s)
+
+
+def test_usmani_point_query_skips_the_full_inverse(monkeypatch):
+    from hueckel_green import cli
+
+    def refuse(spec):
+        raise AssertionError("point query built the full inverse")
+    monkeypatch.setattr(cli, "usmani_inverse", refuse)
+    assert run_in_process("green", "--topology", "open", "--n", "396",
+                          "--method", "usmani", "--r", "4", "--s", "1") \
+        == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("args,code,stderr", [
+    (("--n", "7", "--r", "1", "--s", "2"), 4, "singular: theta_N = 0\n"),
+    (("--n", "7", "--r", "9", "--s", "2"), 4, "singular: theta_N = 0\n"),
+    (("--n", "6", "--r", "7", "--s", "2"), 3,
+     "IndexOutOfRange: (7, 2) outside 1..6\n"),
+])
+def test_usmani_point_query_errors(args, code, stderr):
+    assert run_in_process("green", "--topology", "open", "--method", "usmani",
+                          *args) == (code, "", stderr)
+
+
+@pytest.mark.parametrize("topology,n", [("open", 2), ("open", 36),
+                                        ("cyclic", 35), ("cyclic", 3)])
+def test_spectral_matrix_one_eigensystem_bit_for_bit(monkeypatch, topology, n):
+    from hueckel_green import chains
+    calls = []
+    original = chains.analytic_eigensystem
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+    monkeypatch.setattr(chains, "analytic_eigensystem", counting)
+    code, out, _ = run_in_process("green", "--topology", topology, "--n",
+                                  str(n), "--method", "spectral")
+    assert (code, len(calls)) == (0, 1)
+    spec = chains.ChainSpec(chains.Topology(topology), n)
+    for r, line in enumerate(out.splitlines(), start=1):
+        assert [float(cell) for cell in line.split(",")] == [
+            chains.spectral_resolvent_entry(spec, r, s, 0.0)
+            for s in range(1, n + 1)]

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from hueckel_green import (ChainSpec, CycleTooSmall, ExactMatrix,
                            GreenEntryQuery, SingularMatrix, Topology,
-                           ZeroCoupling, build_hamiltonian, det_fraction_free,
-                           det_open, green_bond_alternating, green_cyclic,
+                           UnsupportedCouplings, ZeroCoupling,
+                           build_hamiltonian, cyclic_inverse_first_column,
+                           det_fraction_free, det_open,
+                           green_bond_alternating, green_cyclic,
                            green_cyclic_bond_alternating, green_entry,
                            green_matrix, green_open,
                            harmonic_sum_identity_check)
@@ -218,3 +220,69 @@ def test_open_identity_and_uniform_reduction(n):
     assert (build_hamiltonian(spec) @ (-g)) == ExactMatrix.identity(n)
     spec_alt = ChainSpec(Topology.OPEN, n, coupling_odd=1, coupling_even=1)
     assert green_matrix(spec_alt) == g
+
+
+# Four closed forms: uniform open, alternating open, uniform ring,
+# alternating ring.  green_matrix must fill exactly the entries green_entry
+# answers one at a time.
+@pytest.mark.parametrize("topology,beta,alpha,sizes", [
+    (Topology.OPEN, 1, 1, range(2, 31, 2)),
+    (Topology.OPEN, F(2), F(-1, 3), range(2, 25, 2)),
+    (Topology.CYCLIC, 1, 1, [n for n in range(3, 31) if n % 4]),
+    (Topology.CYCLIC, F(3, 2), F(5, 7), range(4, 25, 2)),
+])
+def test_green_matrix_matches_entrywise(topology, beta, alpha, sizes):
+    for n in sizes:
+        spec = ChainSpec(topology, n, coupling_odd=beta, coupling_even=alpha)
+        expected = [[green_entry(GreenEntryQuery(spec, r, s))
+                     for s in range(1, n + 1)] for r in range(1, n + 1)]
+        assert green_matrix(spec).to_lists() == expected, n
+
+
+@pytest.mark.parametrize("spec,error,message", [
+    (ChainSpec(Topology.OPEN, 5), SingularMatrix, "singular: N odd"),
+    (ChainSpec(Topology.OPEN, 4, 0, 0), ZeroCoupling,
+     "couplings must be nonzero"),
+    (ChainSpec(Topology.OPEN, 4, 0, 2), ZeroCoupling,
+     "couplings must be nonzero"),
+    (ChainSpec(Topology.CYCLIC, 8), SingularMatrix, "singular: N=4k"),
+    (ChainSpec(Topology.CYCLIC, 2), CycleTooSmall,
+     "cyclic Green's function needs N >= 3"),
+    (ChainSpec(Topology.CYCLIC, 2, 2, 3), CycleTooSmall,
+     "cyclic bond alternation needs N >= 4"),
+    (ChainSpec(Topology.CYCLIC, 6, 0, 2), ZeroCoupling,
+     "couplings must be nonzero"),
+    (ChainSpec(Topology.CYCLIC, 6, 2, -2), SingularMatrix,
+     "singular: alternating denominator"),
+])
+def test_green_matrix_and_entry_error_parity(spec, error, message):
+    with pytest.raises(error) as matrix_err:
+        green_matrix(spec)
+    with pytest.raises(error) as entry_err:
+        green_entry(GreenEntryQuery(spec, 1, 2))
+    assert str(matrix_err.value) == str(entry_err.value) == message
+
+
+@pytest.mark.parametrize("function,spec,message", [
+    (green_open, ChainSpec(Topology.OPEN, 4, 2, 3),
+     "green_open needs unit couplings"),
+    (green_bond_alternating, ChainSpec(Topology.CYCLIC, 6, 2, 3),
+     "open-chain formula"),
+    (green_cyclic, ChainSpec(Topology.OPEN, 6), "cyclic formula"),
+    (green_cyclic, ChainSpec(Topology.CYCLIC, 6, 2, 3),
+     "green_cyclic needs unit couplings"),
+    (green_cyclic_bond_alternating, ChainSpec(Topology.OPEN, 6),
+     "cyclic formula"),
+])
+def test_public_closed_forms_reject_foreign_specs(function, spec, message):
+    with pytest.raises(UnsupportedCouplings) as err:
+        function(GreenEntryQuery(spec, 1, 2))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [n for n in range(3, 60) if n % 4] + [147, 198])
+def test_uniform_ring_matrix_is_recurrence_circulant(n):
+    column = cyclic_inverse_first_column(n).first_column
+    expected = ExactMatrix.from_rows(
+        [[-column[(r - s) % n] for s in range(n)] for r in range(n)])
+    assert green_matrix(ChainSpec(Topology.CYCLIC, n)) == expected
