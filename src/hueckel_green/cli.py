@@ -45,9 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", choices=["open", "cyclic"], required=True)
         p.add_argument("--n", type=int, required=True, help="number of sites")
         p.add_argument("--alpha", type=parse_rational, default=Fraction(1),
-                       help="coupling on bonds 2-3, 4-5, ... (exact p/q)")
+                       help="coupling on bonds 2-3, 4-5, ... (exact p/q; "
+                            "write a negative one as --alpha=-3/2)")
         p.add_argument("--beta", type=parse_rational, default=Fraction(1),
-                       help="coupling on bonds 1-2, 3-4, ... (exact p/q)")
+                       help="coupling on bonds 1-2, 3-4, ... (exact p/q; "
+                            "write a negative one as --beta=-3/2)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("build", help="emit the Hamiltonian matrix")

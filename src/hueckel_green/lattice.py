@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExhausted, IndexOutOfRange, SingularLattice, TooLarge
-from .exact import ExactMatrix, max_cells
+from .exact import ExactMatrix, guard_dense, max_cells
 from .vanishing_sums import InvertibilityQuery, find_vanishing_witness, is_invertible
 
 MAX_DENSE_SITES = 4096
@@ -98,8 +98,9 @@ def build_lattice_hamiltonian(spec: LatticeSpec) -> ExactMatrix:
 
     Equivalent to the Kronecker sum of d open chains; built directly from
     the neighbour structure so no intermediate tensor products are formed.
+    Allocates sites^2 cells, so it is guarded like every dense builder.
     """
-    _guard_sites(spec)
+    guard_dense(spec.total_sites)
     total = spec.total_sites
     n = spec.linear_size
     one = Fraction(1)

@@ -74,6 +74,18 @@ def test_green_methods_agree():
             assert a == pytest.approx(b, abs=1e-9), method
 
 
+def test_green_negative_coupling_with_equals_sign():
+    from fractions import Fraction
+
+    from hueckel_green import ChainSpec, GreenEntryQuery, Topology, green_entry
+    result = run_cli("green", "--topology", "open", "--n", "4",
+                     "--beta=-3/2", "--alpha=1/2", "--r", "1", "--s", "2")
+    assert result.returncode == 0
+    spec = ChainSpec(Topology.OPEN, 4, Fraction(-3, 2), Fraction(1, 2))
+    want = green_entry(GreenEntryQuery(spec, 1, 2))
+    assert result.stdout == f"{want}\n"
+
+
 def test_green_usmani_requires_open():
     result = run_cli("green", "--topology", "cyclic", "--n", "6",
                      "--method", "usmani")

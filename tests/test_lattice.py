@@ -148,10 +148,22 @@ def test_green_matrix_rejects_odd_chain():
 def test_builder_memory_guard(monkeypatch):
     with pytest.raises(TooLarge):
         build_lattice_hamiltonian(LatticeSpec(3, 128))  # 2^21 sites
-    monkeypatch.setenv("HUECKEL_MAX_CELLS", "8")
+    monkeypatch.setenv("HUECKEL_MAX_CELLS", "16")
     with pytest.raises(TooLarge):
-        build_lattice_hamiltonian(LatticeSpec(2, 3))
-    build_lattice_hamiltonian(LatticeSpec(2, 2))  # 4 sites still fits
+        build_lattice_hamiltonian(LatticeSpec(2, 3))  # 81 cells
+    build_lattice_hamiltonian(LatticeSpec(2, 2))  # 16 cells still fit
+
+
+def test_builder_guard_counts_cells_not_sites(monkeypatch):
+    monkeypatch.setenv("HUECKEL_MAX_CELLS", "100")
+    with pytest.raises(TooLarge) as err:
+        build_lattice_hamiltonian(LatticeSpec(2, 10))  # 100 sites, 10 000 cells
+    assert str(err.value) == (
+        "100x100 matrix (10000 cells) exceeds the memory guard (100)")
+    # the spectrum holds one float per site, so its guard stays on sites
+    assert lattice_spectrum(LatticeSpec(2, 10)).size == 100
+    with pytest.raises(TooLarge):
+        lattice_spectrum(LatticeSpec(2, 11))
 
 
 def test_dense_green_guard():
