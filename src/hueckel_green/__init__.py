@@ -7,6 +7,9 @@ forms with entries in {0, +-1} and {0, +-1/2}, the Usmani tridiagonal
 engine, circulant inversion by recurrence and by symbol factorization,
 spectral sums -- and decides existence in d dimensions with an exact
 number-theoretic predicate backed by a cyclotomic-integer oracle.
+
+numpy is imported inside the float routines only, so the exact routes, and
+the command-line requests built on them, never pay its import.
 """
 
 from .chains import (ChainSpec, EigenSystem, Topology, analytic_eigensystem,

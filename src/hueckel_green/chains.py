@@ -13,12 +13,14 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (AlternatingOddN, CycleTooSmall, EnergyAtPole,
                      IndexOutOfRange, UnsupportedCouplings)
 from .exact import ExactMatrix, Rational, as_rational, guard_dense
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ONE = Fraction(1)
 
@@ -122,6 +124,8 @@ def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
     Open chain: eigenvalue 2 cos(r*omega) with sine eigenvectors,
     omega = pi/(N+1).  Cycle: 2 cos(2*pi*j/N) with the real Fourier basis.
     """
+    import numpy as np
+
     _require_uniform(spec)
     n = spec.n_sites
     guard_dense(n)
@@ -149,6 +153,8 @@ def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
 
 def _modes_and_gaps(spec: ChainSpec, energy: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and E - eps_k, refusing an energy on the spectrum."""
+    import numpy as np
+
     system = analytic_eigensystem(spec)
     gaps = energy - system.eigenvalues
     nearest = float(np.min(np.abs(gaps)))
@@ -165,6 +171,8 @@ def spectral_resolvent_entry(spec: ChainSpec, r: int, s: int, energy: float) -> 
     this equals the zero-energy Green's function entry G(r, s).  The sum
     is O(N), but the eigensystem behind it costs O(N^2).
     """
+    import numpy as np
+
     _require_uniform(spec)
     spec.check_site(r)
     spec.check_site(s)
@@ -178,6 +186,8 @@ def spectral_resolvent_matrix(spec: ChainSpec, energy: float) -> np.ndarray:
     O(N^3): each row is one N x N product summed along the modes, in the
     same order as the entry's sum, so the two agree bit for bit.
     """
+    import numpy as np
+
     modes, gaps = _modes_and_gaps(spec, energy)
     return np.array([((row * modes) / gaps).sum(axis=1) for row in modes])
 

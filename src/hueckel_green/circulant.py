@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CycleTooSmall, NotSingular, SingularMatrix
 from .exact import ExactMatrix, Rational, as_rational, solve_exact
 
@@ -142,6 +140,8 @@ def circulant_inverse_dft(spec: CirculantSpec) -> CirculantSpec:
     float screen for singularity; the returned column comes from solving
     the circulant system exactly.
     """
+    import numpy as np
+
     n = spec.n
     symbol = np.fft.fft(np.array([float(v) for v in spec.first_column]))
     j = int(np.argmin(np.abs(symbol)))

@@ -10,13 +10,15 @@ memory guard every dense builder checks before it allocates.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import SingularMatrix, TooLarge
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Rational = Fraction
 
@@ -100,7 +102,15 @@ class ExactMatrix:
     def to_lists(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
+    def scaled_rows(self) -> tuple[list[list[int]], int]:
+        """Integer rows and d > 0 with self = rows / d (d the lcm of the denominators)."""
+        d = math.lcm(*(x.denominator for x in self._data))
+        return [[x.numerator * (d // x.denominator) for x in self.row(i)]
+                for i in range(self.rows)], d
+
     def to_float(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in self.row(i)] for i in range(self.rows)])
 
     def transpose(self) -> "ExactMatrix":
@@ -162,16 +172,14 @@ def mat_vec(m: ExactMatrix, v: Sequence[Fraction]) -> list[Fraction]:
 def det_fraction_free(m: ExactMatrix) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination with row pivoting.
 
-    All divisions are exact, so the result is exact for any rational input.
-    Integer matrices stay in integer arithmetic throughout.
+    The input is first scaled to integers by d, the lcm of its denominators,
+    so elimination runs in integers with every division exact, and
+    det(m) = det(d m) / d^n.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
     n = m.rows
-    if all(x.denominator == 1 for x in m._data):
-        a = [[int(x) for x in m.row(i)] for i in range(n)]
-    else:
-        a = [list(m.row(i)) for i in range(n)]
+    a, d = m.scaled_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -189,14 +197,10 @@ def det_fraction_free(m: ExactMatrix) -> Fraction:
             rowi = a[i]
             rowk = a[k]
             for j in range(k + 1, n):
-                num = pivot * rowi[j] - rik * rowk[j]
-                if isinstance(num, int):
-                    rowi[j] = num // prev
-                else:
-                    rowi[j] = num / prev
+                rowi[j] = (pivot * rowi[j] - rik * rowk[j]) // prev
             rowi[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1])
+    return Fraction(sign * a[n - 1][n - 1], d ** n)
 
 
 def solve_exact(m: ExactMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:

@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExhausted, IndexOutOfRange, SingularLattice, TooLarge
 from .exact import ExactMatrix, guard_dense, max_cells
 from .vanishing_sums import InvertibilityQuery, find_vanishing_witness, is_invertible
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_DENSE_SITES = 4096
 _WITNESS_BUDGET = 500_000
@@ -128,6 +130,8 @@ def lattice_eigenvalue(spec: LatticeSpec, k: MultiIndex) -> float:
 def lattice_spectrum(spec: LatticeSpec) -> np.ndarray:
     """All N^d eigenvalues as a tensor over mode multi-indices
     (axis i indexed by k_{i+1} - 1)."""
+    import numpy as np
+
     _guard_sites(spec)
     n, d = spec.linear_size, spec.dim
     axis = 2.0 * np.cos(spec.omega * np.arange(1, n + 1))
@@ -152,6 +156,8 @@ def _require_invertible(spec: LatticeSpec) -> None:
 
 
 def _chain_modes(spec: LatticeSpec) -> np.ndarray:
+    import numpy as np
+
     n = spec.linear_size
     idx = np.arange(1, n + 1)
     return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(idx, idx) * spec.omega)
@@ -164,6 +170,8 @@ def lattice_green_entry(spec: LatticeSpec, r: MultiIndex, s: MultiIndex) -> floa
     divided by 2 sum_i cos(k_i w); evaluated with one tensor contraction
     per axis in a fixed order, so results are bit-reproducible.
     """
+    import numpy as np
+
     _guard_sites(spec)
     _check_index(spec, r)
     _check_index(spec, s)
@@ -182,6 +190,8 @@ def lattice_green_matrix(spec: LatticeSpec) -> np.ndarray:
     each axis of the reciprocal-eigenvalue tensor is contracted against the
     chain modes in turn.
     """
+    import numpy as np
+
     if spec.total_sites > MAX_DENSE_SITES:
         raise TooLarge(
             f"{spec.total_sites} sites exceed the dense limit ({MAX_DENSE_SITES})")

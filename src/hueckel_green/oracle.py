@@ -7,17 +7,20 @@ reason this module exists separately from naive elimination.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NotSymmetric, NumericallySingular
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONDITION_LIMIT = 1e12
 _PIVOT_TOL = 1e-12
 
-FloatMatrix = np.ndarray
-
 
 def as_float_matrix(m) -> np.ndarray:
+    import numpy as np
+
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError("matrix expected")
@@ -28,6 +31,8 @@ def as_float_matrix(m) -> np.ndarray:
 
 def _lu_factor(a: np.ndarray):
     """In-place LU with partial pivoting; returns (lu, perm, parity, min_pivot_idx)."""
+    import numpy as np
+
     n = a.shape[0]
     lu = a.copy()
     perm = np.arange(n)
@@ -52,6 +57,8 @@ def _lu_factor(a: np.ndarray):
 
 def det_float(m) -> float:
     """Determinant via LU with partial pivoting; 0.0 when a pivot collapses."""
+    import numpy as np
+
     a = as_float_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("determinant of non-square matrix")
@@ -68,6 +75,8 @@ def lu_inverse(m) -> np.ndarray:
     exactly singular input and for anything so ill-conditioned that the
     result would be garbage.
     """
+    import numpy as np
+
     a = as_float_matrix(m)
     n = a.shape[0]
     if n != a.shape[1]:
@@ -91,6 +100,8 @@ def lu_inverse(m) -> np.ndarray:
 
 def symmetric_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending."""
+    import numpy as np
+
     a = as_float_matrix(m)
     if a.shape[0] != a.shape[1] or np.max(np.abs(a - a.T), initial=0.0) > 1e-12:
         raise NotSymmetric("input is not symmetric to 1e-12")

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Any
 
-import numpy as np
-
 from .errors import TooLarge
 from .exact import ExactMatrix
 
@@ -111,8 +109,9 @@ def matrix_document(rows: list[list], *, exact: bool, fmt: Format,
 def matrix_rows(m) -> list[list]:
     if isinstance(m, ExactMatrix):
         return m.to_lists()
-    a = np.asarray(m, dtype=float)
-    return [[float(x) for x in row] for row in a]
+    import numpy as np
+
+    return np.asarray(m, dtype=float).tolist()
 
 
 def scalar_document(value, fmt: Format) -> OutputDocument:

@@ -10,11 +10,12 @@ calling sin/cos, so the stated tolerances stay honest up to N = 200.
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DegenerateAngle, IndexOutOfRange, NearSingularAngle, SingularMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def kahan_sum(values: Iterable[float]) -> float:
@@ -58,6 +59,8 @@ def direct_green_matrix(n: int) -> np.ndarray:
     Same quantity as `direct_green_sum` for every (r, s); used where a full
     sweep over pairs would make the per-entry loop the bottleneck.
     """
+    import numpy as np
+
     if n % 2:
         raise SingularMatrix("N odd", n=n)
     np1 = n + 1

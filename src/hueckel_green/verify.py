@@ -17,8 +17,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from . import closed_form, trig
 from .chains import ChainSpec, Topology, build_hamiltonian
 from .circulant import (cyclic_inverse_first_column, cyclic_kernel_basis,
@@ -51,13 +49,6 @@ def _exact(check_id: str, ok: bool) -> dict:
     return _check(check_id, ok, 0.0 if ok else 1.0)
 
 
-def _scaled_rows(m: ExactMatrix) -> tuple[list[list[int]], int]:
-    """Integer rows and d > 0 with m = rows / d (d the lcm of the denominators)."""
-    d = math.lcm(*(x.denominator for x in m._data))
-    return [[x.numerator * (d // x.denominator) for x in m.row(i)]
-            for i in range(m.rows)], d
-
-
 def _inverse_certificate(h: ExactMatrix, g: ExactMatrix) -> bool:
     """True iff g = -h^-1, checked as h·g = -I in integers.
 
@@ -67,8 +58,8 @@ def _inverse_certificate(h: ExactMatrix, g: ExactMatrix) -> bool:
     n = h.rows
     if not h.cols == g.rows == g.cols == n:
         return False
-    hs, dh = _scaled_rows(h)
-    gs, dg = _scaled_rows(g)
+    hs, dh = h.scaled_rows()
+    gs, dg = g.scaled_rows()
     diagonal = -dh * dg
     for i, h_row in enumerate(hs):
         acc = [0] * n
@@ -83,6 +74,8 @@ def _inverse_certificate(h: ExactMatrix, g: ExactMatrix) -> bool:
 
 
 def suite_open(max_n: int, rng: random.Random) -> list[dict]:
+    import numpy as np
+
     sizes = range(2, max_n + 1, 2)
     vs_usmani = identity = entries = True
     vs_numeric = 0.0
@@ -101,7 +94,7 @@ def suite_open(max_n: int, rng: random.Random) -> list[dict]:
             trig.direct_green_matrix(n) - gf))))
     n = max(2, max_n - max_n % 2)
     semi = _semiseparable_upper(
-        _scaled_rows(green_matrix(ChainSpec(Topology.OPEN, n)))[0])
+        green_matrix(ChainSpec(Topology.OPEN, n)).scaled_rows()[0])
     return [
         _exact("open.closed_vs_usmani", vs_usmani),
         _exact("open.identity", identity),
@@ -116,7 +109,7 @@ def _semiseparable_upper(rows: list[list[int]]) -> bool:
     """Every 2x2 minor taken on-or-above the diagonal vanishes.
 
     Scaling every entry by d > 0 scales each minor by d^2, so the integer
-    rows of `_scaled_rows` give the same answer as the rationals.
+    rows of `ExactMatrix.scaled_rows` give the same answer as the rationals.
     """
     n = len(rows)
     for i1 in range(n):
@@ -210,6 +203,8 @@ def suite_alternating(max_n: int, rng: random.Random) -> list[dict]:
 
 
 def suite_lattice(max_n: int, rng: random.Random) -> list[dict]:
+    import numpy as np
+
     spectrum = 0.0
     for d in (1, 2, 3):
         for n in range(2, min(max_n, 6) + 1):
@@ -241,6 +236,8 @@ def suite_lattice(max_n: int, rng: random.Random) -> list[dict]:
 
 
 def suite_numbertheory(max_n: int, rng: random.Random) -> list[dict]:
+    import numpy as np
+
     agree = sound = True
     float_worst = 0.0
     for d in (1, 3, 5, 7):
@@ -280,6 +277,8 @@ def suite_numbertheory(max_n: int, rng: random.Random) -> list[dict]:
 
 
 def suite_trig(max_n: int, rng: random.Random) -> list[dict]:
+    import numpy as np
+
     grid_worst = 0.0
     thetas = [0.01 + (math.pi - 0.02) * i / 19 for i in range(20)]
     for nprime in range(1, 51):

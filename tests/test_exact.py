@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hueckel_green import (ExactMatrix, SingularMatrix, det_fraction_free,
-                           inverse_exact, mat_vec, solve_exact)
+from hueckel_green import (ChainSpec, ExactMatrix, SingularMatrix, Topology,
+                           build_hamiltonian, det_fraction_free, inverse_exact,
+                           mat_vec, solve_exact)
 
 from oracles import cofactor_det, gauss_jordan_inverse, multiply
 
@@ -97,3 +98,27 @@ def test_solve_exact_solves(data):
         return
     x = solve_exact(m, rhs)
     assert mat_vec(m, x) == rhs
+
+
+def test_bareiss_rational_chains_and_rings_match_cofactor_oracle():
+    # Zero diagonals make every first pivot vanish, so each n >= 2 needs a
+    # row swap; rational couplings go through the integer scaling.
+    rng = random.Random(23)
+
+    def coupling():
+        return F(rng.choice([x for x in range(-7, 8) if x]), rng.randint(1, 6))
+
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        topologies = [Topology.OPEN] + ([Topology.CYCLIC] if n >= 2 else [])
+        for topology in topologies:
+            beta = coupling()
+            alpha = coupling() if n % 2 == 0 else beta
+            h = build_hamiltonian(ChainSpec(topology, n, beta, alpha))
+            assert det_fraction_free(h) == cofactor_det(h.to_lists())
+    for _ in range(10):
+        value = coupling()
+        assert det_fraction_free(ExactMatrix.from_rows([[value]])) == value
+    swap = [[F(0), F(2, 3), F(1, 5)], [F(3, 4), F(0), F(-1, 2)],
+            [F(1, 7), F(5, 6), F(0)]]
+    assert det_fraction_free(ExactMatrix.from_rows(swap)) == cofactor_det(swap)

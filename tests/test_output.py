@@ -2,13 +2,16 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hueckel_green import TooLarge
+from hueckel_green import (ChainSpec, Topology, TooLarge, build_hamiltonian,
+                           lu_inverse, spectral_resolvent_matrix)
 from hueckel_green.output import (Format, decision_document, format_float,
                                   format_rational, matrix_document,
-                                  matrix_document_from_json, parse_rational,
-                                  report_document, scalar_document)
+                                  matrix_document_from_json, matrix_rows,
+                                  parse_rational, report_document,
+                                  scalar_document)
 
 F = Fraction
 
@@ -93,3 +96,14 @@ def test_csv_refuses_huge_matrices():
         doc.render()
     doc.fmt = Format.JSON
     assert doc.render()  # JSON path stays available
+
+
+def test_float_matrix_rows_are_python_floats_of_each_entry():
+    spec = ChainSpec(Topology.OPEN, 8)
+    for m in (-lu_inverse(build_hamiltonian(spec).to_float()),
+              spectral_resolvent_matrix(spec, 0.0)):
+        rows = matrix_rows(m)
+        assert all(type(v) is float for row in rows for v in row)
+        old = [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+        assert [[v.hex() for v in row] for row in rows] == \
+            [[v.hex() for v in row] for row in old]
