@@ -24,10 +24,10 @@ from .closed_form import (GreenEntryQuery, det_open, green_bond_alternating,
                           harmonic_sum_identity_check)
 from .errors import (AlternatingOddN, BudgetExhausted, CycleTooSmall,
                      DegenerateAngle, EnergyAtPole, HueckelError,
-                     IndexOutOfRange, NearSingularAngle, NotSingular,
-                     NotSymmetric, NumericallySingular, SingularLattice,
-                     SingularMatrix, TooLarge, UnsupportedCouplings,
-                     ZeroCoupling)
+                     IndexOutOfRange, InvalidSize, NearSingularAngle,
+                     NotSingular, NotSymmetric, NumericallySingular,
+                     SingularLattice, SingularMatrix, TooLarge,
+                     UnsupportedCouplings, ZeroCoupling)
 from .exact import (ExactMatrix, det_fraction_free, inverse_exact, mat_vec,
                     solve_exact)
 from .lattice import (LatticeSpec, MultiIndex, build_lattice_hamiltonian,

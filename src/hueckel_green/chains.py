@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import (AlternatingOddN, CycleTooSmall, EnergyAtPole,
-                     IndexOutOfRange, UnsupportedCouplings)
+                     IndexOutOfRange, InvalidSize, UnsupportedCouplings)
 from .exact import ExactMatrix, Rational, as_rational, guard_dense
 
 if TYPE_CHECKING:
@@ -49,7 +49,7 @@ class ChainSpec:
         object.__setattr__(self, "coupling_odd", as_rational(self.coupling_odd))
         object.__setattr__(self, "coupling_even", as_rational(self.coupling_even))
         if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
+            raise InvalidSize("n_sites must be >= 1")
         if self.topology is Topology.CYCLIC and self.n_sites < 2:
             raise CycleTooSmall("cyclic chain needs at least 2 sites")
         if self.coupling_odd != self.coupling_even and self.n_sites % 2:
@@ -109,7 +109,7 @@ def build_hamiltonian(spec: ChainSpec) -> ExactMatrix:
         c = bond_coupling(spec, n)
         data[(n - 1) * n] = c
         data[n - 1] = c
-    return ExactMatrix(n, n, data)
+    return ExactMatrix._of_fractions(n, n, data)
 
 
 def _require_uniform(spec: ChainSpec) -> None:

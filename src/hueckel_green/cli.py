@@ -113,7 +113,7 @@ def _green_by_method(spec: ChainSpec, args):
             tables = require_invertible(tri)        # singular before indices
             GreenEntryQuery(spec, args.r, args.s)   # validates the indices
             return -usmani_entry(tri, args.r, args.s, tables), True
-        return -usmani_inverse(tri), True
+        return usmani_inverse(-tri), True        # G = -H^-1 = (-H)^-1
     if method == "numeric":
         g = -lu_inverse(build_hamiltonian(spec).to_float())
         if single:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .chains import ChainSpec, Topology
-from .errors import (CycleTooSmall, IndexOutOfRange, SingularMatrix,
-                     UnsupportedCouplings, ZeroCoupling)
+from .errors import (CycleTooSmall, IndexOutOfRange, InvalidSize,
+                     SingularMatrix, UnsupportedCouplings, ZeroCoupling)
 from .exact import ExactMatrix, Rational, guard_dense
 from .trig import direct_green_sum
 
@@ -45,7 +45,7 @@ class GreenEntryQuery:
 def det_open(n: int) -> int:
     """Determinant of the uniform open chain: (-1)^(N/2) for even N, else 0."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidSize("n must be >= 1")
     if n % 2:
         return 0
     return -1 if (n // 2) % 2 else 1
@@ -219,7 +219,8 @@ def green_matrix(spec: ChainSpec) -> ExactMatrix:
     n = spec.n_sites
     guard_dense(n)
     sites = range(1, n + 1)
-    return ExactMatrix(n, n, [entry(r, s) for r in sites for s in sites])
+    return ExactMatrix._of_fractions(
+        n, n, [entry(r, s) for r in sites for s in sites])
 
 
 def harmonic_sum_identity_check(n: int, r: int, s: int) -> tuple[float, Rational]:

@@ -14,6 +14,12 @@ class HueckelError(Exception):
     exit_code = 3
 
 
+class InvalidSize(HueckelError, ValueError):
+    """A size outside its domain: fewer than one site, dimension below one,
+    or n = N+1 below two.  Also a ValueError, so library callers that
+    catch that keep working."""
+
+
 class AlternatingOddN(HueckelError):
     """Bond-alternating couplings require an even number of sites."""
 

@@ -53,6 +53,14 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
+def over_common_denominator(
+        values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers k_i and d > 0 with values[i] = k_i / d, d the lcm of the
+    denominators."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 class ExactMatrix:
     """Immutable dense matrix of exact rationals, stored row-major."""
 
@@ -67,6 +75,20 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self._data = data
+
+    @classmethod
+    def _of_fractions(cls, rows: int, cols: int,
+                      data: list[Fraction]) -> "ExactMatrix":
+        """Adopt a row-major list of rows * cols Fractions without copying it.
+
+        For the package's own builders, whose entries are Fractions already:
+        no coercion and no checks, so the caller owns both.
+        """
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._data = data
+        return m
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "ExactMatrix":
@@ -104,19 +126,24 @@ class ExactMatrix:
 
     def scaled_rows(self) -> tuple[list[list[int]], int]:
         """Integer rows and d > 0 with self = rows / d (d the lcm of the denominators)."""
-        d = math.lcm(*(x.denominator for x in self._data))
-        return [[x.numerator * (d // x.denominator) for x in self.row(i)]
-                for i in range(self.rows)], d
+        flat, d = over_common_denominator(self._data)
+        c = self.cols
+        return [flat[i * c:(i + 1) * c] for i in range(self.rows)], d
 
     def to_float(self) -> np.ndarray:
+        """Float copy; only the nonzero entries are converted."""
         import numpy as np
 
-        return np.array([[float(x) for x in self.row(i)] for i in range(self.rows)])
+        data = self._data
+        nonzero = [k for k, x in enumerate(data) if x]
+        out = np.zeros(self.rows * self.cols)
+        out[nonzero] = [float(data[k]) for k in nonzero]
+        return out.reshape(self.rows, self.cols)
 
     def transpose(self) -> "ExactMatrix":
         data = [self._data[i * self.cols + j]
                 for j in range(self.cols) for i in range(self.rows)]
-        return ExactMatrix(self.cols, self.rows, data)
+        return ExactMatrix._of_fractions(self.cols, self.rows, data)
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -126,7 +153,8 @@ class ExactMatrix:
                    for i in range(n) for j in range(i + 1, n))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-x for x in self._data])
+        return ExactMatrix._of_fractions(self.rows, self.cols,
+                                         [-x for x in self._data])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix) and self.rows == other.rows

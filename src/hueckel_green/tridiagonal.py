@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .chains import ChainSpec, Topology, bond_coupling
 from .errors import SingularMatrix, UnsupportedCouplings
-from .exact import ExactMatrix, Rational, as_rational, guard_dense
+from .exact import (ExactMatrix, Rational, as_rational, guard_dense,
+                    over_common_denominator)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,6 +45,12 @@ class TridiagonalSpec:
     @property
     def n(self) -> int:
         return len(self.diag)
+
+    def __neg__(self) -> "TridiagonalSpec":
+        """The negated matrix in O(N); its inverse is G = -T^-1."""
+        return TridiagonalSpec(tuple(-x for x in self.sub),
+                               tuple(-x for x in self.diag),
+                               tuple(-x for x in self.sup))
 
     @classmethod
     def from_chain(cls, spec: ChainSpec) -> "TridiagonalSpec":
@@ -137,33 +144,64 @@ def usmani_entry(spec: TridiagonalSpec, r: int, s: int,
     return sign * prod * tables.theta_at(s - 1) * tables.phi_at(r + 1) / det
 
 
-def usmani_inverse(spec: TridiagonalSpec) -> ExactMatrix:
-    """Exact inverse of the whole matrix.
+def _restarting_prefix(bonds) -> list[Rational]:
+    """p_0..p_{N-1} with p_j / p_i = bonds[i] * ... * bonds[j-1] for i <= j,
+    whenever none of those bonds is zero.  After each zero bond the product
+    restarts at one, so every p_i is nonzero."""
+    prefix = [_ONE]
+    for x in bonds:
+        prefix.append(prefix[-1] * x if x else _ONE)
+    return prefix
 
-    The c- and a-products are accumulated incrementally along each row,
-    which keeps the full inverse at O(N^2) instead of O(N^3).
+
+def usmani_inverse(spec: TridiagonalSpec) -> ExactMatrix:
+    """Exact inverse of the whole matrix, from integer rank-one generators.
+
+    Each triangle of a tridiagonal inverse has rank one.  On and above the
+    diagonal, within a run of nonzero c's, entry (r, s) is x_r * y_s with
+    x_r = theta_{r-1} / (theta_N p_r) and y_s = p_s phi_{s+1}, where p is
+    the prefix product of -c restarted at every zero bond; entries across a
+    zero c are exactly 0.  Below the diagonal the same holds with -a and
+    the roles of theta and phi swapped.  Each generator is put over one
+    common denominator as Python ints, so the O(N^2) entries cost one int
+    product and one gcd (`Fraction(p, D)`) each.
     """
     n = spec.n
     tables = require_invertible(spec)
     guard_dense(n)
     det = tables.determinant
+    theta = tables.theta[1:n + 1]     # theta_{r-1} for r = 1..N
+    phi = tables.phi[1:n + 1]         # phi_{r+1} for r = 1..N
     data = [_ZERO] * (n * n)
-    for r in range(1, n + 1):
-        data[(r - 1) * n + (r - 1)] = (
-            tables.theta_at(r - 1) * tables.phi_at(r + 1) / det)
-        # upper part: entry (r, s) for s > r
-        factor = tables.theta_at(r - 1) / det
-        prod = _ONE
-        for s in range(r + 1, n + 1):
-            prod *= -spec.sup[s - 2]
-            data[(r - 1) * n + (s - 1)] = prod * factor * tables.phi_at(s + 1)
-        # lower part: entry (r, s) for s < r, walking s downward
-        factor = tables.phi_at(r + 1) / det
-        prod = _ONE
-        for s in range(r - 1, 0, -1):
-            prod *= -spec.sub[s - 1]
-            data[(r - 1) * n + (s - 1)] = prod * factor * tables.theta_at(s - 1)
-    return ExactMatrix(n, n, data)
+    # Upper triangle with the diagonal: row i spans columns i..end-1, where
+    # end stops at the first zero c at or after bond i.
+    p = _restarting_prefix([-x for x in spec.sup])
+    xs, dx = over_common_denominator([t / (det * q) for t, q in zip(theta, p)])
+    ys, dy = over_common_denominator([q * f for q, f in zip(p, phi)])
+    den = dx * dy
+    end = n
+    for i in range(n - 1, -1, -1):
+        if i < n - 1 and not spec.sup[i]:
+            end = i + 1
+        x = xs[i]
+        if x:
+            data[i * n + i:i * n + end] = [
+                Fraction(x * y, den) if y else _ZERO for y in ys[i:end]]
+    # Lower triangle: row i spans columns start..i-1, where start follows
+    # the last zero a before bond i.
+    p = _restarting_prefix([-x for x in spec.sub])
+    xs, dx = over_common_denominator([q * f for q, f in zip(p, phi)])
+    ys, dy = over_common_denominator([t / (det * q) for t, q in zip(theta, p)])
+    den = dx * dy
+    start = 0
+    for i in range(1, n):
+        if not spec.sub[i - 1]:
+            start = i
+        x = xs[i]
+        if x:
+            data[i * n + start:i * n + i] = [
+                Fraction(x * y, den) if y else _ZERO for y in ys[start:i]]
+    return ExactMatrix._of_fractions(n, n, data)
 
 
 def tridiagonal_matrix(spec: TridiagonalSpec) -> ExactMatrix:

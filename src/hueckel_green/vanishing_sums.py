@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, InvalidSize
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -44,9 +44,9 @@ class InvertibilityQuery:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InvalidSize("dimension must be >= 1")
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise InvalidSize("n must be >= 2")
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def suite_open(max_n: int, rng: random.Random) -> list[dict]:
         spec = ChainSpec(Topology.OPEN, n)
         g = green_matrix(spec)
         h = build_hamiltonian(spec)
-        vs_usmani &= (-usmani_inverse(TridiagonalSpec.from_chain(spec))) == g
+        vs_usmani &= usmani_inverse(-TridiagonalSpec.from_chain(spec)) == g
         identity &= _inverse_certificate(h, g)
         entries &= set(g._data) <= _ALLOWED_OPEN
         gf = g.to_float()

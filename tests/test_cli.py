@@ -247,3 +247,75 @@ def test_spectral_matrix_one_eigensystem_bit_for_bit(monkeypatch, topology, n):
         assert [float(cell) for cell in line.split(",")] == [
             chains.spectral_resolvent_entry(spec, r, s, 0.0)
             for s in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n,beta,alpha", [
+    (8, "1", "1"), (30, "1", "1"), (12, "2", "1/3"), (10, "-3/2", "5/7"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_usmani_matrix_one_inverse_no_negation(monkeypatch, n, beta, alpha,
+                                               fmt):
+    from hueckel_green import cli, exact
+    calls = {"usmani_inverse": 0, "neg": 0}
+    original_inverse = cli.usmani_inverse
+    original_neg = exact.ExactMatrix.__neg__
+
+    def counting_inverse(spec):
+        calls["usmani_inverse"] += 1
+        return original_inverse(spec)
+
+    def counting_neg(self):
+        calls["neg"] += 1
+        return original_neg(self)
+    monkeypatch.setattr(cli, "usmani_inverse", counting_inverse)
+    monkeypatch.setattr(exact.ExactMatrix, "__neg__", counting_neg)
+    chain = ("green", "--topology", "open", "--n", str(n), f"--beta={beta}",
+             f"--alpha={alpha}", "--format", fmt)
+    usmani = run_in_process(*chain, "--method", "usmani")
+    assert calls == {"usmani_inverse": 1, "neg": 0}
+    assert usmani == run_in_process(*chain, "--method", "closed")
+    assert usmani[0] == 0
+
+
+def test_usmani_matrix_with_zero_coupling():
+    # alpha = 0 cuts the chain into dimers; closed forms refuse it
+    code, out, err = run_in_process("green", "--topology", "open", "--n", "6",
+                                    "--alpha", "0", "--beta", "2/3",
+                                    "--method", "usmani")
+    dimer = [["0", "-3/2"], ["-3/2", "0"]]
+    want = [[dimer[r % 2][s % 2] if r // 2 == s // 2 else "0"
+             for s in range(6)] for r in range(6)]
+    assert (code, err) == (0, "")
+    assert out == "".join(",".join(row) + "\n" for row in want)
+    assert run_in_process("green", "--topology", "open", "--n", "6",
+                          "--alpha", "0", "--method", "closed")[0] == 3
+
+
+@pytest.mark.parametrize("args,stderr", [
+    (("det", "--topology", "open", "--n", "0"),
+     "InvalidSize: n must be >= 1\n"),
+    (("invertible", "--d", "3", "--n-plus-one", "1"),
+     "InvalidSize: n must be >= 2\n"),
+    (("invertible", "--d", "0", "--n-plus-one", "5", "--witness"),
+     "InvalidSize: dimension must be >= 1\n"),
+    (("green", "--topology", "open", "--n", "0"),
+     "InvalidSize: n_sites must be >= 1\n"),
+    (("green", "--topology", "cyclic", "--n", "-3", "--r", "1", "--s", "1"),
+     "InvalidSize: n_sites must be >= 1\n"),
+    (("build", "--topology", "open", "--n", "-1"),
+     "InvalidSize: n_sites must be >= 1\n"),
+])
+def test_domain_errors_exit_three_with_one_line(args, stderr):
+    result = run_cli(*args)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", stderr)
+
+
+def test_domain_errors_are_still_value_errors():
+    from hueckel_green import (ChainSpec, HueckelError, InvertibilityQuery,
+                               Topology, det_open)
+    for build in (lambda: det_open(0), lambda: InvertibilityQuery(0, 5),
+                  lambda: InvertibilityQuery(3, 1),
+                  lambda: ChainSpec(Topology.OPEN, 0)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert isinstance(err.value, HueckelError)

@@ -11,7 +11,8 @@ from hueckel_green import (ChainSpec, SingularMatrix, Topology,
                            TridiagonalSpec, det_fraction_free, theta_phi,
                            tridiagonal_matrix, usmani_entry, usmani_inverse)
 
-from oracles import cofactor_det, cofactor_inverse, multiply
+from oracles import (cofactor_det, cofactor_inverse, gauss_jordan_inverse,
+                     multiply)
 
 F = Fraction
 
@@ -139,3 +140,67 @@ def test_usmani_matches_gauss_jordan_oracle():
     product = multiply(tridiagonal_matrix(spec).to_lists(), inv.to_lists())
     identity = [[F(1) if i == j else F(0) for j in range(4)] for i in range(4)]
     assert product == identity
+
+
+def _random_spec(rng, n, zero_bond):
+    """Nonzero diagonal; each bond's sub and sup drawn separately, zero with
+    probability ``zero_bond``, so a zero may face a nonzero across the bond."""
+    def value():
+        return F(rng.choice([x for x in range(-7, 8) if x]), rng.randint(1, 6))
+
+    def bond():
+        return F(0) if rng.random() < zero_bond else value()
+    return TridiagonalSpec(tuple(bond() for _ in range(n - 1)),
+                           tuple(value() for _ in range(n)),
+                           tuple(bond() for _ in range(n - 1)))
+
+
+def _assert_matches_gauss_jordan(spec):
+    rows = tridiagonal_matrix(spec).to_lists()
+    try:
+        expected = gauss_jordan_inverse(rows)
+    except StopIteration:       # the oracle found no pivot: singular
+        with pytest.raises(SingularMatrix):
+            usmani_inverse(spec)
+        return False
+    assert usmani_inverse(spec).to_lists() == expected
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_usmani_matches_gauss_jordan_on_random_specs(n):
+    rng = random.Random(7000 + n)
+    invertible = sum(_assert_matches_gauss_jordan(_random_spec(rng, n, zero))
+                     for zero in (0.0, 0.25, 0.5, 0.5))
+    assert invertible >= 3
+
+
+@pytest.mark.parametrize("sub,sup", [
+    # a zero in sub where sup is nonzero at the same bond, and the reverse
+    ((F(2), F(0), F(-1, 3), F(5)), (F(1), F(4), F(-3, 2), F(2, 7))),
+    ((F(2), F(4), F(-1, 3), F(5)), (F(1), F(0), F(-3, 2), F(2, 7))),
+    ((F(0), F(3), F(0), F(1)), (F(-1), F(0), F(5, 2), F(0))),
+    ((F(0),) * 4, (F(1), F(-2), F(3), F(1, 2))),
+])
+def test_usmani_one_sided_zero_bonds(sub, sup):
+    spec = TridiagonalSpec(sub, (F(1), F(-1, 2), F(3), F(2), F(-5)), sup)
+    assert _assert_matches_gauss_jordan(spec)
+
+
+@pytest.mark.parametrize("n", [2, 6, 10, 24])
+def test_usmani_zero_coupled_chain_is_block_inverse(n):
+    # zero diagonal, every second bond zero: decoupled dimers, invertible
+    off = tuple(F(0) if b % 2 else F(2, 3) for b in range(n - 1))
+    spec = TridiagonalSpec(off, (F(0),) * n, off)
+    assert _assert_matches_gauss_jordan(spec)
+    inv = usmani_inverse(spec)
+    for i in range(n):
+        for j in range(n):
+            want = F(3, 2) if i // 2 == j // 2 and i != j else 0
+            assert inv.get(i, j) == want
+
+
+def test_usmani_of_negated_spec_is_green_function():
+    spec = _random_spec(random.Random(11), 12, 0.25)
+    assert theta_phi(spec).determinant != 0
+    assert usmani_inverse(-spec) == -usmani_inverse(spec)
