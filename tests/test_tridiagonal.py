@@ -171,8 +171,8 @@ def _assert_matches_gauss_jordan(spec):
 def test_usmani_matches_gauss_jordan_on_random_specs(n):
     rng = random.Random(7000 + n)
     invertible = sum(_assert_matches_gauss_jordan(_random_spec(rng, n, zero))
-                     for zero in (0.0, 0.25, 0.5, 0.5))
-    assert invertible >= 3
+                     for zero in (0.0, 0.25, 0.5))
+    assert invertible >= 2
 
 
 @pytest.mark.parametrize("sub,sup", [

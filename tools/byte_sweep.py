@@ -112,6 +112,10 @@ def main() -> int:
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
         base, head = pool.map(sweep, (args.base, args.head))
     requests = grid()
+    if not len(base) == len(head) == len(requests):
+        print(f"incomplete sweep: {len(base)} base and {len(head)} head "
+              f"results for {len(requests)} requests")
+        return 1
     differences = 0
     for argv, b, h in zip(requests, base, head):
         if b != h:
