@@ -24,7 +24,8 @@ from .closed_form import (GreenEntryQuery, det_open, green_bond_alternating,
                           harmonic_sum_identity_check)
 from .errors import (AlternatingOddN, BudgetExhausted, CycleTooSmall,
                      DegenerateAngle, EnergyAtPole, HueckelError,
-                     IndexOutOfRange, InvalidSize, NearSingularAngle,
+                     IllConditioned, IndexOutOfRange, InvalidSize,
+                     NearSingularAngle,
                      NotSingular, NotSymmetric, NumericallySingular,
                      SingularLattice, SingularMatrix, TooLarge,
                      UnsupportedCouplings, ZeroCoupling)

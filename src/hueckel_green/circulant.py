@@ -5,17 +5,22 @@ entries 0 and +-1/2 arranged in repeating diagonal patterns whenever N is
 not a multiple of 4.  Two independent derivations of that first column are
 implemented (the odd/even-row recurrence, and expanding the factorization
 of the symbol into geometric series over the Gaussian integers), plus a
-general exact-solve route for arbitrary circulants that uses a float DFT
-only to screen for singularity.
+general exact inverse for arbitrary rational circulants: multi-modular
+extended Euclid on the symbol modulo x^N - 1, checked by an integer
+certificate, with singularity decided by cyclotomic divisibility.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CycleTooSmall, NotSingular, SingularMatrix
-from .exact import ExactMatrix, Rational, as_rational, solve_exact
+from .exact import ExactMatrix, Rational, as_rational, over_common_denominator
+from .vanishing_sums import _divisible_by_cyclotomic, _poly_trim
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -136,21 +141,193 @@ def symbol_factorization_inverse(n: int) -> CirculantSpec:
 def circulant_inverse_dft(spec: CirculantSpec) -> CirculantSpec:
     """First column of the inverse of an arbitrary rational circulant.
 
-    The DFT of the first column (the symbol values) is used purely as a
-    float screen for singularity; the returned column comes from solving
-    the circulant system exactly.
-    """
-    import numpy as np
+    C is the polynomial c(x) = sum_k c_k x^k modulo x^N - 1, so its inverse
+    is the inverse of c(x) in that ring.  Scale c by L, the lcm of its
+    denominators, to an integer a(x); then C^-1 = L A^-1.  For each prime p
+    below 2^62, extended Euclid over F_p inverts a(x) modulo x^N - 1 in
+    O(N^2) word operations.  The residues are combined by CRT and
+    rational-reconstructed over one common denominator d, and the answer is
+    returned as soon as the integer certificate a * X = d e_0 (a cyclic
+    convolution) holds, which proves both that C is invertible and that
+    X / d is A^-1 e_0.  No bound and no float decides: reconstruction is
+    sure to succeed once the modulus exceeds 2 H^2, H the Hadamard bound of
+    A, so about 2 log2(H) / 62 primes are used.  Storage is O(N) integers;
+    the N x N matrix is never built.
 
+    C is singular exactly when c(x) vanishes at an N-th root of unity, that
+    is, when a cyclotomic Phi_m with m | N divides a(x).  Then a(x) has no
+    inverse modulo any p, so the first prime that fails runs that exact
+    test once: a prime that fails while no Phi_m divides a(x) divides det C
+    and is skipped.  The error's ``index`` is the smallest j with
+    c(exp(2 pi i j / N)) = 0: 0 when Phi_1 divides, else N/m for the
+    largest such m.
+    """
     n = spec.n
-    symbol = np.fft.fft(np.array([float(v) for v in spec.first_column]))
-    j = int(np.argmin(np.abs(symbol)))
-    if abs(symbol[j]) <= 1e-9:
+    a, scale = over_common_denominator(spec.first_column)
+    residues: list[int] = [0] * n
+    modulus = 1
+    tested = False
+    for p in _word_primes():
+        inverse = _inverse_mod_p(a, n, p)
+        if inverse is None:
+            if not tested:
+                _raise_if_singular(a, n)
+                tested = True
+            continue
+        step = pow(modulus % p, -1, p)
+        residues = [x + modulus * ((y - x) * step % p)
+                    for x, y in zip(residues, inverse)]
+        modulus *= p
+        found = _reconstruct(residues, modulus)
+        if found is not None and _certifies(a, *found):
+            numerators, d = found
+            return CirculantSpec(tuple(Fraction(scale * x, d)
+                                       for x in numerators))
+
+
+def _raise_if_singular(a: list[int], n: int) -> None:
+    """SingularMatrix if some Phi_m with m | N divides a(x), exactly."""
+    coeffs = tuple(a)
+    zeros = [m for m in range(1, n + 1)
+             if n % m == 0 and _divisible_by_cyclotomic(m, coeffs)]
+    if zeros:
+        j = 0 if zeros[0] == 1 else n // zeros[-1]
         raise SingularMatrix(f"symbol value {j} vanishes", n=n, index=j)
-    rhs = [Fraction(1)] + [_ZERO] * (n - 1)
-    try:
-        x = solve_exact(circulant_matrix(spec), rhs)
-    except SingularMatrix:
-        # The float screen passed but the matrix is exactly singular.
-        raise SingularMatrix(f"symbol value {j} vanishes", n=n, index=j) from None
-    return CirculantSpec(tuple(x))
+
+
+def _inverse_mod_p(a: list[int], n: int, p: int) -> list[int] | None:
+    """Coefficients of a(x)^-1 modulo (x^N - 1, p), or None if a(x) and
+    x^N - 1 share a factor over F_p.
+
+    Extended Euclid that tracks only the cofactor t_i of a(x) in
+    r_i = s_i (x^N - 1) + t_i a(x).  Polynomials are coefficient lists,
+    constant term first, with no trailing zeros.
+    """
+    r0 = [p - 1] + [0] * (n - 1) + [1]
+    r1 = _poly_trim([x % p for x in a])
+    t0: list[int] = []
+    t1 = [1]
+    while len(r1) > 1:
+        lead = pow(r1[-1], -1, p)
+        top = len(r1) - 1
+        rem = r0
+        quot = [0] * (len(rem) - top)
+        for i in range(len(rem) - 1 - top, -1, -1):
+            q = rem[i + top] * lead % p
+            quot[i] = q
+            if q:
+                rem[i:i + top] = [x - q * y for x, y in zip(rem[i:i + top], r1)]
+        r0, r1 = r1, _poly_trim([x % p for x in rem[:top]])
+        t0, t1 = t1, _poly_sub_mul(t0, quot, t1, p)
+    if not r1:
+        return None
+    unit = pow(r1[0], -1, p)
+    return [x * unit % p for x in t1] + [0] * (n - len(t1))
+
+
+def _poly_sub_mul(t0: list[int], q: list[int], t1: list[int],
+                  p: int) -> list[int]:
+    """t0 - q t1 over F_p."""
+    out = t0 + [0] * max(0, len(q) + len(t1) - 1 - len(t0))
+    for i, c in enumerate(q):
+        if c:
+            out[i:i + len(t1)] = [x - c * y
+                                  for x, y in zip(out[i:i + len(t1)], t1)]
+    return _poly_trim([x % p for x in out])
+
+
+def _reconstruct(residues: list[int],
+                 modulus: int) -> tuple[list[int], int] | None:
+    """One d > 0 and the integers X_k = d residues[k] (mod modulus) of
+    least absolute value, or None while some denominator has no
+    reconstruction within sqrt(modulus / 2).
+
+    Each entry is reconstructed only when d times it is not already a small
+    integer, and its denominator joins d, which stays a divisor of det A
+    once the modulus is large enough.
+    """
+    bound = math.isqrt((modulus - 1) // 2)
+    d = 1
+    for u in residues:
+        w = d * u % modulus
+        if w <= bound or modulus - w <= bound:
+            continue
+        den = _rational_denominator(w, modulus, bound, bound // d)
+        if den is None:
+            return None
+        d *= den
+    numerators = []
+    for u in residues:
+        w = d * u % modulus
+        numerators.append(w if w <= bound else w - modulus)
+    return numerators, d
+
+
+def _rational_denominator(u: int, modulus: int, num_bound: int,
+                          den_bound: int) -> int | None:
+    """The denominator t of the fraction r/t = u (mod modulus) with |r| at
+    most num_bound and 0 < t at most den_bound (Wang's half-extended
+    Euclid), or None."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    t = abs(t1)
+    return t if 0 < t <= den_bound else None
+
+
+def _certifies(a: list[int], numerators: list[int], d: int) -> bool:
+    """a * X = d e_0 as a cyclic convolution of Python ints."""
+    n = len(a)
+    acc = [0] * n
+    for k, ak in enumerate(a):
+        if ak:
+            shifted = numerators[n - k:] + numerators[:n - k]
+            acc = [s + ak * x for s, x in zip(acc, shifted)]
+    return acc[0] == d and not any(acc[1:])
+
+
+def _word_primes():
+    """Primes below 2^62 in descending order, an unbounded supply."""
+    for block in itertools.count():
+        yield from _prime_block(block)
+
+
+@lru_cache(maxsize=None)
+def _prime_block(k: int) -> tuple[int, ...]:
+    """The k-th run of 16 consecutive primes below 2^62, found on first use."""
+    p = _prime_block(k - 1)[-1] if k else 1 << 62
+    block = []
+    while len(block) < 16:
+        p -= 1
+        if _is_word_prime(p):
+            block.append(p)
+    return tuple(block)
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_word_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, which is exact
+    for every m below 3.18e23 (Sorenson and Webster, 2016)."""
+    if m < 2:
+        return False
+    for w in _WITNESSES:
+        if m % w == 0:
+            return m == w
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True

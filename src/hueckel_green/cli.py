@@ -22,7 +22,8 @@ from .chains import (ChainSpec, Topology, build_hamiltonian,
                      spectral_resolvent_entry, spectral_resolvent_matrix)
 from .circulant import det_cyclic
 from .closed_form import GreenEntryQuery, det_open, green_entry, green_matrix
-from .errors import HueckelError, SingularMatrix, UnsupportedCouplings
+from .errors import (HueckelError, IllConditioned, NumericallySingular,
+                     SingularMatrix, UnsupportedCouplings)
 from .oracle import lu_inverse
 from .output import (Format, decision_document, matrix_document, matrix_rows,
                      parse_rational, report_document, scalar_document)
@@ -115,7 +116,14 @@ def _green_by_method(spec: ChainSpec, args):
             return -usmani_entry(tri, args.r, args.s, tables), True
         return usmani_inverse(-tri), True        # G = -H^-1 = (-H)^-1
     if method == "numeric":
-        g = -lu_inverse(build_hamiltonian(spec).to_float())
+        h = build_hamiltonian(spec)
+        proven = _proven_invertible(spec)
+        try:
+            g = -lu_inverse(h.to_float())
+        except NumericallySingular as err:
+            if not proven:
+                raise
+            raise IllConditioned(err.pivot_index) from None
         if single:
             GreenEntryQuery(spec, args.r, args.s)
             return float(g[args.r - 1, args.s - 1]), False
@@ -125,6 +133,26 @@ def _green_by_method(spec: ChainSpec, args):
     if single:
         return spectral_resolvent_entry(spec, args.r, args.s, 0.0), False
     return spectral_resolvent_matrix(spec, 0.0), False
+
+
+def _proven_invertible(spec: ChainSpec) -> bool:
+    """Decide exactly, in O(N), whether H has an inverse.
+
+    Raises SingularMatrix when it has none and returns True when it has
+    one: by theta_N for an open chain, by the closed-form kernel for a ring.
+    Returns False for a ring the kernels refuse for another reason (two
+    sites, a zero coupling); the float LU then decides, as it always did.
+    """
+    if spec.topology is Topology.OPEN:
+        require_invertible(TridiagonalSpec.from_chain(spec))
+        return True
+    try:
+        green_entry(GreenEntryQuery(spec, 1, 1))
+    except SingularMatrix:
+        raise
+    except HueckelError:
+        return False
+    return True
 
 
 def _raise_if_singular_uniform(spec: ChainSpec) -> None:

@@ -129,11 +129,16 @@ def _alternating_cyclic_kernel(spec: ChainSpec) -> EntryFn:
     if spec.topology is not Topology.CYCLIC:
         raise UnsupportedCouplings("cyclic formula")
     n = spec.n_sites
+    beta, alpha = spec.coupling_odd, spec.coupling_even
     if n % 2:
-        raise SingularMatrix("N odd", n=n)
+        # ChainSpec admits odd N only for equal couplings t, and t times the
+        # uniform ring is invertible at odd N unless t = 0: G = G_uniform / t.
+        if beta == 0:
+            raise SingularMatrix("zero couplings", n=n)
+        uniform = _cyclic_kernel(ChainSpec(Topology.CYCLIC, n))
+        return lambda r, s: uniform(r, s) / beta
     if n < 4:
         raise CycleTooSmall("cyclic bond alternation needs N >= 4")
-    beta, alpha = spec.coupling_odd, spec.coupling_even
     if beta == 0 or alpha == 0:
         raise ZeroCoupling("couplings must be nonzero")
     half = n // 2
@@ -199,7 +204,9 @@ def green_cyclic_bond_alternating(q: GreenEntryQuery) -> Rational:
 
     Four-term closed form; the two geometric denominators
     1 - (-alpha/beta)^(N/2) and 1 - (-beta/alpha)^(N/2) are checked
-    exactly and reproduce the N = 4k singularity at equal couplings.
+    exactly and reproduce the N = 4k singularity at equal couplings.  An
+    odd ring has equal couplings t, and its entries are the uniform ring's
+    divided by t.
     """
     return _alternating_cyclic_kernel(q.spec)(q.r, q.s)
 

@@ -96,6 +96,17 @@ class NumericallySingular(HueckelError):
         super().__init__(f"singular: numeric pivot {pivot_index}")
 
 
+class IllConditioned(HueckelError):
+    """The float LU refused a matrix that is exactly invertible: a pivot or
+    the condition estimate crossed its screen, so the float route has no
+    answer for it."""
+
+    def __init__(self, pivot_index: int):
+        self.pivot_index = pivot_index
+        super().__init__(
+            f"float LU refused an invertible matrix at pivot {pivot_index}")
+
+
 class SingularLattice(HueckelError):
     """The d-dimensional Green's function does not exist.
 

@@ -22,7 +22,7 @@ from .chains import ChainSpec, Topology, build_hamiltonian
 from .circulant import (cyclic_inverse_first_column, cyclic_kernel_basis,
                         det_cyclic, symbol_factorization_inverse)
 from .closed_form import CYCLIC_PATTERNS, GreenEntryQuery, green_matrix
-from .errors import SingularMatrix
+from .errors import InvalidSize, SingularMatrix
 # inverse_exact stays bound although unused: perfbench/spans.py patches it here.
 from .exact import ExactMatrix, det_fraction_free, inverse_exact, mat_vec  # noqa: F401
 from .lattice import (LatticeSpec, build_lattice_hamiltonian,
@@ -321,9 +321,22 @@ _SUITE_RUNNERS = {
 }
 
 
+# The smallest max_n at which every check of a suite sees a case: the
+# cyclic kernels start at N = 4, the alternating ring reduction at N = 6,
+# and the first witness of numbertheory's search is (d, n) = (3, 9).
+SMALLEST_MAX_N = {"open": 2, "cyclic": 4, "alternating": 6, "lattice": 2,
+                  "numbertheory": 9, "trig": 2}
+
+
 def run_suite(suite: str, max_n: int, seed: int) -> list[dict]:
-    """Run one suite (or "all") and return its ordered check results."""
+    """Run one suite (or "all") and return its ordered check results.
+
+    InvalidSize for a max_n at which some check would pass over no case.
+    """
     names = SUITES if suite == "all" else (suite,)
+    smallest = max(SMALLEST_MAX_N[name] for name in names)
+    if max_n < smallest:
+        raise InvalidSize(f"verify --suite {suite} needs --max-n >= {smallest}")
     results: list[dict] = []
     for name in names:
         rng = random.Random(seed)

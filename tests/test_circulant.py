@@ -1,5 +1,7 @@
 """Circulant determinants, kernels and the three inversion routes."""
 
+import cmath
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,11 +10,12 @@ from hypothesis import strategies as st
 
 from hueckel_green import (ChainSpec, CirculantSpec, CycleTooSmall,
                            ExactMatrix, NotSingular, SingularMatrix, Topology,
-                           build_hamiltonian, circulant_inverse_dft,
+                           build_hamiltonian, circulant, circulant_inverse_dft,
                            circulant_matrix, cyclic_inverse_first_column,
-                           cyclic_kernel_basis, det_cyclic,
-                           det_fraction_free, mat_vec,
+                           cyclic_kernel_basis, cyclotomic_polynomial,
+                           det_cyclic, det_fraction_free, mat_vec,
                            symbol_factorization_inverse)
+from oracles import gauss_jordan_inverse
 
 F = Fraction
 HALF = F(1, 2)
@@ -112,14 +115,116 @@ def test_dft_route_reports_vanishing_symbol():
     assert err.value.index is not None
 
 
-def test_dft_route_screen_rejects_subthreshold_symbol():
-    # symbol value at j=0 is 2^-31 ~ 4.7e-10: below the 1e-9 screening
-    # precondition, so the input is rejected as singular up front
-    eps = F(1, 2 ** 31)
-    spec = CirculantSpec((F(1) + eps, F(-1), F(1), F(-1)))
+@pytest.mark.parametrize("column", [
+    (1 + F(1, 2 ** 31), -1, 1, -1),            # symbol value 0 is 2^-31
+    (1, -F(10 ** 11 - 1, 10 ** 11), 0),         # det about 3e-11
+])
+def test_dft_route_inverts_nearly_singular_circulants(column):
+    # Regression: a float screen |symbol| <= 1e-9 called these singular.
+    spec = CirculantSpec(tuple(map(F, column)))
+    inv = circulant_inverse_dft(spec)
+    identity = ExactMatrix.identity(spec.n)
+    assert circulant_matrix(spec) @ circulant_matrix(inv) == identity
+
+
+def random_column(rng, n):
+    return [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+
+
+def oracle_first_column(spec):
+    """Gauss-Jordan's first column of C^-1, or None if it finds no pivot."""
+    try:
+        inv = gauss_jordan_inverse(circulant_matrix(spec).to_lists())
+    except StopIteration:
+        return None
+    return tuple(row[0] for row in inv)
+
+
+def random_specs(seed, per_size=2):
+    rng = random.Random(seed)
+    return [CirculantSpec(tuple(random_column(rng, n)))
+            for n in range(1, 25) for _ in range(per_size)]
+
+
+def outcome(spec):
+    try:
+        return circulant_inverse_dft(spec).first_column
+    except SingularMatrix:
+        return None
+
+
+def test_dft_route_matches_gauss_jordan_on_random_circulants():
+    specs = random_specs(7)
+    results = [outcome(spec) for spec in specs]
+    assert results == [oracle_first_column(spec) for spec in specs]
+    assert results.count(None) < len(specs) // 4
+
+
+def poly_mul_mod(f, g, n):
+    """f(x) g(x) modulo x^n - 1."""
+    out = [F(0)] * n
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[(i + j) % n] += a * b
+    return out
+
+
+def symbol_abs(column, j):
+    n = len(column)
+    return abs(sum(float(c) * cmath.exp(2j * cmath.pi * j * k / n)
+                   for k, c in enumerate(column)))
+
+
+def singular_cases(seed):
+    """(column, smallest j with a vanishing symbol value) for columns
+    Phi_m(x) b(x) mod x^N - 1, every m | N, N = 1..24."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(1, 25):
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            b = random_column(rng, rng.randint(1, n))
+            column = poly_mul_mod(cyclotomic_polynomial(m), b, n)
+            values = [symbol_abs(column, j) for j in range(n)]
+            # every value is either a rounded zero or clearly not zero
+            assert all(v < 1e-9 or v > 1e-6 for v in values)
+            cases.append((column, next(j for j, v in enumerate(values)
+                                       if v < 1e-9)))
+    return cases
+
+
+def singular_index(column):
     with pytest.raises(SingularMatrix) as err:
-        circulant_inverse_dft(spec)
-    assert err.value.index == 0
+        circulant_inverse_dft(CirculantSpec(tuple(column)))
+    return err.value.index
+
+
+def test_dft_route_reports_smallest_vanishing_symbol_index():
+    cases = singular_cases(11)
+    assert [singular_index(c) for c, _ in cases] == [j for _, j in cases]
+    assert singular_index((0, 1, 0, 1)) == 1
+    assert singular_index((0, 0, 0)) == 0
+
+
+SMALL_PRIMES = [p for p in range(3, 3000)
+                if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+
+def test_dft_route_skips_unlucky_primes(monkeypatch):
+    specs = random_specs(7)
+    expected = [outcome(spec) for spec in specs]
+    cases = singular_cases(13)
+    skipped = []
+    real_check = circulant._raise_if_singular
+
+    def spy(a, n):
+        real_check(a, n)
+        skipped.append(n)
+
+    monkeypatch.setattr(circulant, "_word_primes", lambda: iter(SMALL_PRIMES))
+    monkeypatch.setattr(circulant, "_raise_if_singular", spy)
+    assert [outcome(spec) for spec in specs] == expected
+    assert [singular_index(c) for c, _ in cases] == [j for _, j in cases]
+    assert len(skipped) > 10       # invertible inputs that met a bad prime
 
 
 rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 4))

@@ -319,3 +319,53 @@ def test_domain_errors_are_still_value_errors():
         with pytest.raises(ValueError) as err:
             build()
         assert isinstance(err.value, HueckelError)
+
+
+ILL_CONDITIONED = ("green", "--topology", "open", "--alpha=1000")
+
+
+@pytest.mark.parametrize("n", [12, 20, 40])
+@pytest.mark.parametrize("entry", [(), ("--r", "1", "--s", "2")])
+def test_numeric_refusal_of_invertible_chain_is_not_singular(n, entry):
+    # Regression: the LU condition screen trips on these chains, and they
+    # exited 4 although det H = +-1 and the exact routes answer them.
+    chain = (*ILL_CONDITIONED, "--n", str(n), *entry)
+    code, out, err = run_in_process(*chain, "--method", "numeric")
+    assert (code, out) == (3, "")
+    assert err.startswith("IllConditioned: ") and err.count("\n") == 1
+    assert run_in_process(*chain, "--method", "closed")[0] == 0
+
+
+@pytest.mark.parametrize("chain,stderr", [
+    (("--topology", "open", "--n", "7"), "singular: theta_N = 0\n"),
+    (("--topology", "open", "--n", "6", "--alpha", "0", "--beta", "0"),
+     "singular: theta_N = 0\n"),
+    (("--topology", "cyclic", "--n", "8"), "singular: N=4k\n"),
+    (("--topology", "cyclic", "--n", "6", "--beta", "2", "--alpha=-2"),
+     "singular: alternating denominator\n"),
+])
+@pytest.mark.parametrize("entry", [(), ("--r", "1", "--s", "2")])
+def test_numeric_singular_chain_is_decided_exactly(chain, stderr, entry):
+    assert run_in_process("green", *chain, "--method", "numeric", *entry) \
+        == (4, "", stderr)
+
+
+@pytest.mark.parametrize("chain,code,stderr", [
+    (("--n", "2"), 0, ""),                                   # no ring kernel
+    (("--n", "6", "--alpha", "0", "--beta", "1"), 0, ""),    # dimers
+    (("--n", "6", "--alpha", "0", "--beta", "0"), 4,
+     "singular: numeric pivot 0\n"),
+    (("--n", "5", "--alpha", "2", "--beta", "2"), 0, ""),
+])
+def test_numeric_ring_outside_the_kernels_is_left_to_lu(chain, code, stderr):
+    result = run_in_process("green", "--topology", "cyclic", *chain,
+                            "--method", "numeric")
+    assert (result[0], result[2]) == (code, stderr)
+
+
+def test_odd_ring_with_equal_couplings_is_not_singular():
+    # Regression: the closed form called t (S + S^T) singular at odd N.
+    code, out, err = run_in_process("green", "--topology", "cyclic", "--n",
+                                    "5", "--alpha", "2", "--beta", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "-1/4,-1/4,1/4,1/4,-1/4"

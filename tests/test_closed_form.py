@@ -286,3 +286,21 @@ def test_uniform_ring_matrix_is_recurrence_circulant(n):
     expected = ExactMatrix.from_rows(
         [[-column[(r - s) % n] for s in range(n)] for r in range(n)])
     assert green_matrix(ChainSpec(Topology.CYCLIC, n)) == expected
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("t", [F(2), F(-3, 7)])
+def test_odd_ring_with_equal_couplings_is_invertible(n, t):
+    # Regression: the alternating ring kernel called every odd ring
+    # singular, but t (S + S^T) is invertible at odd N.
+    spec = ChainSpec(Topology.CYCLIC, n, t, t)
+    inverse = gauss_jordan_inverse(build_hamiltonian(spec).to_lists())
+    assert green_matrix(spec).to_lists() == [[-x for x in row]
+                                             for row in inverse]
+    assert green_entry(GreenEntryQuery(spec, 2, 1)) == -inverse[1][0]
+
+
+def test_odd_ring_with_zero_couplings_is_singular():
+    with pytest.raises(SingularMatrix) as err:
+        green_matrix(ChainSpec(Topology.CYCLIC, 5, 0, 0))
+    assert err.value.case == "zero couplings"

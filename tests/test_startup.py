@@ -25,12 +25,24 @@ print(code, "numpy" in sys.modules)
 """
 
 
-def probe(*argv):
+CIRCULANT_PROBE = """
+import sys
+from hueckel_green import CirculantSpec, SingularMatrix, circulant_inverse_dft
+circulant_inverse_dft(CirculantSpec((3, 1, "-1/2", 0, 1)))
+try:
+    circulant_inverse_dft(CirculantSpec((0, 1, 0, 1)))
+except SingularMatrix as err:
+    code = err.index
+print(code, "numpy" in sys.modules)
+"""
+
+
+def probe(*argv, script=PROBE):
     """(exit code of cli.main or None, whether numpy was imported)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    result = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                             capture_output=True, text=True, check=True)
     code, loaded = result.stdout.split()
     return (None if code == "None" else int(code)), loaded == "True"
@@ -81,3 +93,8 @@ def test_exact_routes_leave_numpy_out(argv, code):
 @pytest.mark.parametrize("argv, code", FLOAT_ROUTES.values(), ids=FLOAT_ROUTES)
 def test_float_routes_load_numpy(argv, code):
     assert probe(*argv) == (code, True)
+
+
+def test_circulant_inverse_leaves_numpy_out():
+    # the second call is singular, with its symbol vanishing at index 1
+    assert probe(script=CIRCULANT_PROBE) == (1, False)

@@ -10,6 +10,8 @@ from hueckel_green.chains import ChainSpec, Topology, build_hamiltonian
 from hueckel_green.circulant import CirculantSpec
 from hueckel_green.errors import SingularMatrix
 from hueckel_green.exact import ExactMatrix, inverse_exact
+from hueckel_green.vanishing_sums import (InvertibilityQuery,
+                                          find_vanishing_witness)
 
 TINY = Fraction(1, 10 ** 12)
 
@@ -107,3 +109,30 @@ def test_cyclic_identity_fails_on_a_wrong_column(monkeypatch, capsys):
     monkeypatch.setattr(verify, "cyclic_inverse_first_column", wrong_column)
     assert "cyclic.identity" in failed_ids("cyclic")
     assert cli_exit("cyclic", capsys) == 1
+
+
+@pytest.mark.parametrize("suite,smallest", [
+    ("open", 2), ("cyclic", 4), ("alternating", 6), ("lattice", 2),
+    ("numbertheory", 9), ("trig", 2), ("all", 9),
+])
+def test_verify_refuses_max_n_where_a_check_sees_no_case(suite, smallest,
+                                                          capsys):
+    # Regression: below these sizes some check looped over no case and
+    # still reported pass, with exit 0.
+    for max_n in (-1, 0, smallest - 1):
+        code = cli.main(["verify", "--suite", suite, "--max-n", str(max_n)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == (f"InvalidSize: verify --suite {suite} needs "
+                       f"--max-n >= {smallest}\n")
+    assert cli.main(["verify", "--suite", suite, "--max-n", str(smallest)]) == 0
+    capsys.readouterr()
+
+
+def test_numbertheory_smallest_max_n_is_the_first_witness():
+    # Below max_n = 9 the witness search of the suite finds nothing, so
+    # witness_soundness would check no witness.
+    queries = [InvertibilityQuery(d, n) for d in (1, 3, 5, 7)
+               for n in range(3, 10, 2)]
+    found = [(q.dim, q.n) for q in queries if find_vanishing_witness(q)]
+    assert found and min(n for _, n in found) == 9

@@ -14,7 +14,14 @@ The grid: `green --method usmani|closed|numeric` on open chains with
 N = 1-40, 78-84, 290-310 and 394, couplings (beta, alpha) = (1, 1),
 (2, 1/3), (-3/2, 5/7), (2/3, 0) and (0, 2/3), CSV and JSON, with and
 without `--transmission`; `verify --suite open|all` at `--max-n` 2, 10 and
-30; and the domain errors of sizes below one site.
+30; and the domain errors of sizes below one site.  Then the chains that
+the float LU refuses although they are exactly invertible: `green --method
+numeric` on open chains with N = 12, 20 and 40 and `--alpha=1000`, as a
+matrix and as the entry `--r 1 --s 2`; `green --method closed|numeric` on
+rings with N = 2-16 and (beta, alpha) = (1, 1), (2, 2), (2, -2), (0, 0)
+and (2, 1/3); and `verify` of every suite and of `all` at `--max-n` -1, 0
+and, where they differ from those, one below and at the smallest size at
+which every check of the suite sees a case.
 """
 
 from __future__ import annotations
@@ -48,6 +55,12 @@ DOMAIN_ERRORS = (
     "build --topology cyclic --n -1 --format json",
 )
 
+ILL_CONDITIONED_SIZES = (12, 20, 40)
+RING_COUPLINGS = (("1", "1"), ("2", "2"), ("2", "-2"), ("0", "0"),
+                  ("2", "1/3"))
+SMALLEST_MAX_N = {"open": 2, "cyclic": 4, "alternating": 6, "lattice": 2,
+                  "numbertheory": 9, "trig": 2, "all": 9}
+
 
 def grid() -> list[list[str]]:
     requests = []
@@ -64,6 +77,19 @@ def grid() -> list[list[str]]:
         for max_n in (2, 10, 30):
             requests.append(["verify", "--suite", suite, "--max-n", str(max_n)])
     requests.extend(line.split() for line in DOMAIN_ERRORS)
+    for n in ILL_CONDITIONED_SIZES:
+        chain = ["green", "--topology", "open", "--n", str(n), "--alpha=1000",
+                 "--method", "numeric"]
+        requests.extend([chain, chain + ["--r", "1", "--s", "2"]])
+    for method in ("closed", "numeric"):
+        for n in range(2, 17):
+            for beta, alpha in RING_COUPLINGS:
+                requests.append([
+                    "green", "--topology", "cyclic", "--n", str(n),
+                    f"--beta={beta}", f"--alpha={alpha}", "--method", method])
+    for suite, smallest in SMALLEST_MAX_N.items():
+        for max_n in sorted({-1, 0, smallest - 1, smallest}):
+            requests.append(["verify", "--suite", suite, "--max-n", str(max_n)])
     return requests
 
 
