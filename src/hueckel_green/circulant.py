@@ -290,20 +290,16 @@ def _certifies(a: list[int], numerators: list[int], d: int) -> bool:
 
 def _word_primes():
     """Primes below 2^62 in descending order, an unbounded supply."""
-    for block in itertools.count():
-        yield from _prime_block(block)
+    return map(_word_prime, itertools.count())
 
 
 @lru_cache(maxsize=None)
-def _prime_block(k: int) -> tuple[int, ...]:
-    """The k-th run of 16 consecutive primes below 2^62, found on first use."""
-    p = _prime_block(k - 1)[-1] if k else 1 << 62
-    block = []
-    while len(block) < 16:
+def _word_prime(k: int) -> int:
+    """The (k+1)-th largest prime below 2^62, found on first use."""
+    p = (_word_prime(k - 1) if k else 1 << 62) - 1
+    while not _is_word_prime(p):
         p -= 1
-        if _is_word_prime(p):
-            block.append(p)
-    return tuple(block)
+    return p
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

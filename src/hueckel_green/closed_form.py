@@ -136,7 +136,10 @@ def _alternating_cyclic_kernel(spec: ChainSpec) -> EntryFn:
         if beta == 0:
             raise SingularMatrix("zero couplings", n=n)
         uniform = _cyclic_kernel(ChainSpec(Topology.CYCLIC, n))
-        return lambda r, s: uniform(r, s) / beta
+
+        def scaled(r: int, s: int) -> Rational:
+            return uniform(r, s) / beta
+        return scaled
     if n < 4:
         raise CycleTooSmall("cyclic bond alternation needs N >= 4")
     if beta == 0 or alpha == 0:

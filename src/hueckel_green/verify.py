@@ -324,7 +324,7 @@ _SUITE_RUNNERS = {
 # The smallest max_n at which every check of a suite sees a case: the
 # cyclic kernels start at N = 4, the alternating ring reduction at N = 6,
 # and the first witness of numbertheory's search is (d, n) = (3, 9).
-SMALLEST_MAX_N = {"open": 2, "cyclic": 4, "alternating": 6, "lattice": 2,
+_SMALLEST_MAX_N = {"open": 2, "cyclic": 4, "alternating": 6, "lattice": 2,
                   "numbertheory": 9, "trig": 2}
 
 
@@ -334,7 +334,7 @@ def run_suite(suite: str, max_n: int, seed: int) -> list[dict]:
     InvalidSize for a max_n at which some check would pass over no case.
     """
     names = SUITES if suite == "all" else (suite,)
-    smallest = max(SMALLEST_MAX_N[name] for name in names)
+    smallest = max(_SMALLEST_MAX_N[name] for name in names)
     if max_n < smallest:
         raise InvalidSize(f"verify --suite {suite} needs --max-n >= {smallest}")
     results: list[dict] = []
