@@ -24,6 +24,7 @@ from .circulant import det_cyclic
 from .closed_form import GreenEntryQuery, det_open, green_entry, green_matrix
 from .errors import (HueckelError, IllConditioned, NumericallySingular,
                      SingularMatrix, UnsupportedCouplings)
+from .exact import guard_dense
 from .oracle import lu_inverse
 from .output import (Format, decision_document, matrix_document, matrix_rows,
                      parse_rational, report_document, scalar_document)
@@ -116,10 +117,10 @@ def _green_by_method(spec: ChainSpec, args):
             return -usmani_entry(tri, args.r, args.s, tables), True
         return usmani_inverse(-tri), True        # G = -H^-1 = (-H)^-1
     if method == "numeric":
-        h = build_hamiltonian(spec)
+        guard_dense(spec.n_sites)             # before the O(N) exact gate
         proven = _proven_invertible(spec)
         try:
-            g = -lu_inverse(h.to_float())
+            g = -lu_inverse(build_hamiltonian(spec).to_float())
         except NumericallySingular as err:
             if not proven:
                 raise

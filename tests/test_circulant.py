@@ -118,7 +118,7 @@ def test_dft_route_reports_vanishing_symbol():
 @pytest.mark.parametrize("column", [
     (1 + F(1, 2 ** 31), -1, 1, -1),            # symbol value 0 is 2^-31
     (1, -F(10 ** 11 - 1, 10 ** 11), 0),         # det about 3e-11
-])
+], ids=["symbol_2_pow_-31", "det_3e-11"])
 def test_dft_route_inverts_nearly_singular_circulants(column):
     # Regression: a float screen |symbol| <= 1e-9 called these singular.
     spec = CirculantSpec(tuple(map(F, column)))
