@@ -29,8 +29,7 @@ from .errors import (AlternatingOddN, BudgetExhausted, CycleTooSmall,
                      NotSingular, NotSymmetric, NumericallySingular,
                      SingularLattice, SingularMatrix, TooLarge,
                      UnsupportedCouplings, ZeroCoupling)
-from .exact import (ExactMatrix, det_fraction_free, inverse_exact, mat_vec,
-                    solve_exact)
+from .exact import ExactMatrix, det_fraction_free, inverse_exact, mat_vec
 from .lattice import (LatticeSpec, MultiIndex, build_lattice_hamiltonian,
                       flatten, lattice_eigenvalue, lattice_green_entry,
                       lattice_green_matrix, lattice_spectrum, unflatten)

@@ -22,8 +22,9 @@ from .chains import (ChainSpec, Topology, build_hamiltonian,
                      spectral_resolvent_entry, spectral_resolvent_matrix)
 from .circulant import det_cyclic
 from .closed_form import GreenEntryQuery, det_open, green_entry, green_matrix
-from .errors import (HueckelError, IllConditioned, NumericallySingular,
-                     SingularMatrix, UnsupportedCouplings)
+from .errors import (CycleTooSmall, HueckelError, IllConditioned,
+                     NumericallySingular, SingularMatrix, UnsupportedCouplings,
+                     ZeroCoupling)
 from .exact import guard_dense
 from .oracle import lu_inverse
 from .output import (Format, decision_document, matrix_document, matrix_rows,
@@ -93,67 +94,62 @@ def _chain_spec(args) -> ChainSpec:
 
 
 def _cmd_build(args) -> int:
-    spec = _chain_spec(args)
-    doc = matrix_document(matrix_rows(build_hamiltonian(spec)), exact=True,
-                          fmt=Format(args.format), topology=args.topology,
-                          n=spec.n_sites)
-    doc.write_to(sys.stdout)
+    rows = matrix_rows(build_hamiltonian(_chain_spec(args)))
+    matrix_document(rows, Format(args.format), args.topology).write_to(sys.stdout)
     return 0
 
 
 def _green_by_method(spec: ChainSpec, args):
-    """Return (full matrix, exact?) or (entry value, exact?) per the method."""
+    """Return the full matrix or the entry value per the method."""
     single = args.r is not None
     method = args.method
     if method == "closed":
         if single:
-            return green_entry(GreenEntryQuery(spec, args.r, args.s)), True
-        return green_matrix(spec), True
+            return green_entry(GreenEntryQuery(spec, args.r, args.s))
+        return green_matrix(spec)
     if method == "usmani":
         tri = TridiagonalSpec.from_chain(spec)
         if single:
             tables = require_invertible(tri)        # singular before indices
             GreenEntryQuery(spec, args.r, args.s)   # validates the indices
-            return -usmani_entry(tri, args.r, args.s, tables), True
-        return usmani_inverse(-tri), True        # G = -H^-1 = (-H)^-1
+            return -usmani_entry(tri, args.r, args.s, tables)
+        return usmani_inverse(-tri)        # G = -H^-1 = (-H)^-1
     if method == "numeric":
         guard_dense(spec.n_sites)             # before the O(N) exact gate
-        proven = _proven_invertible(spec)
+        _raise_if_singular(spec)
         try:
             g = -lu_inverse(build_hamiltonian(spec).to_float())
         except NumericallySingular as err:
-            if not proven:
-                raise
             raise IllConditioned(err.pivot_index) from None
         if single:
             GreenEntryQuery(spec, args.r, args.s)
-            return float(g[args.r - 1, args.s - 1]), False
-        return g, False
+            return float(g[args.r - 1, args.s - 1])
+        return g
     # spectral: evaluate the eigenbasis sum at E = 0
     _raise_if_singular_uniform(spec)
     if single:
-        return spectral_resolvent_entry(spec, args.r, args.s, 0.0), False
-    return spectral_resolvent_matrix(spec, 0.0), False
+        return spectral_resolvent_entry(spec, args.r, args.s, 0.0)
+    return spectral_resolvent_matrix(spec, 0.0)
 
 
-def _proven_invertible(spec: ChainSpec) -> bool:
-    """Decide exactly, in O(N), whether H has an inverse.
+def _raise_if_singular(spec: ChainSpec) -> None:
+    """Raise SingularMatrix unless H has an inverse, decided exactly in O(N).
 
-    Raises SingularMatrix when it has none and returns True when it has
-    one: by theta_N for an open chain, by the closed-form kernel for a ring.
-    Returns False for a ring the kernels refuse for another reason (two
-    sites, a zero coupling); the float LU then decides, as it always did.
+    An open chain is decided by theta_N, a ring by the closed-form kernel.
+    The kernels refuse two kinds of ring: the 2-site ring, which is the
+    single edge beta, and an even ring with a zero coupling, which is a set
+    of disjoint dimers.  Either is singular iff beta = 0 and (N = 2 or
+    alpha = 0).
     """
     if spec.topology is Topology.OPEN:
         require_invertible(TridiagonalSpec.from_chain(spec))
-        return True
+        return
     try:
         green_entry(GreenEntryQuery(spec, 1, 1))
-    except SingularMatrix:
-        raise
-    except HueckelError:
-        return False
-    return True
+    except (CycleTooSmall, ZeroCoupling):
+        if spec.coupling_odd == 0 and (spec.n_sites == 2
+                                       or spec.coupling_even == 0):
+            raise SingularMatrix("zero couplings", n=spec.n_sites) from None
 
 
 def _raise_if_singular_uniform(spec: ChainSpec) -> None:
@@ -170,7 +166,7 @@ def _cmd_green(args) -> int:
         raise HueckelError("--r and --s must be given together")
     spec = _chain_spec(args)
     fmt = Format(args.format)
-    result, exact = _green_by_method(spec, args)
+    result = _green_by_method(spec, args)
     if args.r is not None:
         value = result
         if args.transmission:
@@ -180,9 +176,7 @@ def _cmd_green(args) -> int:
     rows = matrix_rows(result)
     if args.transmission:
         rows = [[v * v for v in row] for row in rows]
-    doc = matrix_document(rows, exact=exact, fmt=fmt, topology=args.topology,
-                          n=spec.n_sites)
-    doc.write_to(sys.stdout)
+    matrix_document(rows, fmt, args.topology).write_to(sys.stdout)
     return 0
 
 

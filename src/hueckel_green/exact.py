@@ -4,8 +4,8 @@
 function in the package.  Entries are `fractions.Fraction`, which keeps them
 in lowest terms with a positive denominator for free.  Alongside the type
 live the exact routines the engines need: fraction-free (Bareiss)
-determinants, Gauss-Jordan inversion and a single-system solve, plus the
-memory guard every dense builder checks before it allocates.
+determinants and Gauss-Jordan inversion, plus the memory guard every
+dense builder checks before it allocates.
 """
 
 from __future__ import annotations
@@ -229,31 +229,6 @@ def det_fraction_free(m: ExactMatrix) -> Fraction:
             rowi[k] = 0
         prev = pivot
     return Fraction(sign * a[n - 1][n - 1], d ** n)
-
-
-def solve_exact(m: ExactMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve m x = rhs exactly (Gaussian elimination, first-nonzero pivoting)."""
-    if m.rows != m.cols or m.rows != len(rhs):
-        raise ValueError("shape mismatch")
-    n = m.rows
-    a = [list(m.row(i)) + [as_rational(rhs[i])] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise SingularMatrix("exactly singular", n=n)
-        a[k], a[piv] = a[piv], a[k]
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            if f:
-                f = f / pk
-                for j in range(k, n + 1):
-                    a[i][j] -= f * a[k][j]
-    x = [_ZERO] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n] - sum((a[i][j] * x[j] for j in range(i + 1, n) if a[i][j]), _ZERO)
-        x[i] = s / a[i][i]
-    return x
 
 
 def inverse_exact(m: ExactMatrix) -> ExactMatrix:

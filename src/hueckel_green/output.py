@@ -1,9 +1,12 @@
 """Output documents for the command line: CSV and JSON with frozen formatting.
 
-Exact rationals render as "p/q" (plain integer when the denominator is 1);
-floats render with 17 significant digits, which round-trips doubles
-exactly.  Matrix JSON is emitted by hand so the float format is identical
-in both CSV and JSON; emitted documents parse back losslessly.
+Exact rationals render as p/q, or as a plain integer when the denominator
+is 1, and a non-integer is a quoted string in JSON.  Floats render with 17
+significant digits, which round-trips doubles exactly, the same in CSV and
+JSON.  A document's entries are all exact or all floats, so its formatter
+is chosen once, from the first entry, and the JSON "exact" field follows
+from that choice.  Matrix JSON is emitted by hand, row by row; emitted
+documents parse back losslessly.
 """
 
 from __future__ import annotations
@@ -52,22 +55,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _format_entry(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, int):
-        return str(value)
-    return format_float(float(value))
+def _json_rational(x: Fraction) -> str:
+    """`json.dumps(format_rational(x))`, bare when x is an integer."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f'"{x.numerator}/{x.denominator}"'
 
 
-def _json_entry(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return json.dumps(format_rational(value))
-    if isinstance(value, int):
-        return str(value)
-    return format_float(float(value))
+def _entry_formatter(first, fmt: Format):
+    """The one formatter of a document whose first entry is `first`."""
+    if not isinstance(first, (int, Fraction)):
+        return format_float
+    return format_rational if fmt is Format.CSV else _json_rational
 
 
 @dataclass
@@ -88,8 +87,7 @@ class OutputDocument:
         if self.kind is Kind.MATRIX:
             _write_matrix(self.payload, self.fmt, emit)
         elif self.kind is Kind.SCALAR:
-            emit(_format_entry(self.payload["value"])
-                 if self.fmt is Format.CSV else _scalar_json(self.payload))
+            emit(_scalar(self.payload["value"], self.fmt))
             emit("\n")
         elif self.kind is Kind.DECISION:
             emit(_decision_json(self.payload))
@@ -98,12 +96,9 @@ class OutputDocument:
             _write_report(self.payload, self.fmt, emit)
 
 
-def matrix_document(rows: list[list], *, exact: bool, fmt: Format,
-                    topology: str | None = None, lattice: int | None = None,
-                    n: int | None = None) -> OutputDocument:
-    payload = {"rows": rows, "exact": exact, "topology": topology,
-               "lattice": lattice, "n": n if n is not None else len(rows)}
-    return OutputDocument(Kind.MATRIX, payload, fmt)
+def matrix_document(rows: list[list], fmt: Format,
+                    topology: str | None = None) -> OutputDocument:
+    return OutputDocument(Kind.MATRIX, {"rows": rows, "topology": topology}, fmt)
 
 
 def matrix_rows(m) -> list[list]:
@@ -119,12 +114,11 @@ def scalar_document(value, fmt: Format) -> OutputDocument:
 
 
 def decision_document(invertible: bool, reason: str,
-                      witness: tuple[int, ...] | None = ...,
-                      fmt: Format = Format.JSON) -> OutputDocument:
+                      witness: tuple[int, ...] | None = ...) -> OutputDocument:
     payload = {"invertible": invertible, "reason": reason}
     if witness is not ...:
         payload["witness"] = list(witness) if witness is not None else None
-    return OutputDocument(Kind.DECISION, payload, fmt)
+    return OutputDocument(Kind.DECISION, payload, Format.JSON)
 
 
 def report_document(checks: list[dict], fmt: Format) -> OutputDocument:
@@ -134,41 +128,35 @@ def report_document(checks: list[dict], fmt: Format) -> OutputDocument:
 def _write_matrix(payload, fmt: Format, emit) -> None:
     rows = payload["rows"]
     cells = len(rows) * len(rows[0])
+    entry = _entry_formatter(rows[0][0], fmt)
     if fmt is Format.CSV:
         if cells > CSV_CELL_LIMIT:
             raise TooLarge(
                 f"{cells} cells exceed the CSV limit ({CSV_CELL_LIMIT}); use --format json")
         for row in rows:
-            emit(",".join(_format_entry(v) for v in row))
+            emit(",".join(map(entry, row)))
             emit("\n")
         return
     emit('{"kind": "matrix"')
-    if payload.get("topology") is not None:
+    if payload["topology"] is not None:
         emit(f', "topology": {json.dumps(payload["topology"])}')
-    if payload.get("lattice") is not None:
-        emit(f', "lattice": {payload["lattice"]}')
-    emit(f', "n": {payload["n"]}, "entries": [')
+    emit(f', "n": {len(rows)}, "entries": [')
     for i, row in enumerate(rows):
         if i:
             emit(", ")
         emit("[")
-        emit(", ".join(_json_entry(v) for v in row))
+        emit(", ".join(map(entry, row)))
         emit("]")
-    emit(f'], "exact": {"true" if payload["exact"] else "false"}}}')
+    emit(f'], "exact": {"false" if entry is format_float else "true"}}}')
     emit("\n")
 
 
-def _scalar_json(payload) -> str:
-    value = payload["value"]
-    if isinstance(value, Fraction):
-        body = (str(value.numerator) if value.denominator == 1
-                else json.dumps(format_rational(value)))
-        exact = "true"
-    elif isinstance(value, int):
-        body, exact = str(value), "true"
-    else:
-        body, exact = format_float(float(value)), "false"
-    return f'{{"kind": "scalar", "value": {body}, "exact": {exact}}}'
+def _scalar(value, fmt: Format) -> str:
+    entry = _entry_formatter(value, fmt)
+    if fmt is Format.CSV:
+        return entry(value)
+    exact = "false" if entry is format_float else "true"
+    return f'{{"kind": "scalar", "value": {entry(value)}, "exact": {exact}}}'
 
 
 def _decision_json(payload) -> str:
@@ -203,14 +191,6 @@ def matrix_document_from_json(text: str, fmt: Format = Format.JSON) -> OutputDoc
     obj = json.loads(text)
     if obj.get("kind") != "matrix":
         raise ValueError("not a matrix document")
-    exact = obj["exact"]
-    rows = []
-    for row in obj["entries"]:
-        if exact:
-            rows.append([Fraction(v) if isinstance(v, str) else Fraction(int(v))
-                         for v in row])
-        else:
-            rows.append([float(v) for v in row])
-    return matrix_document(rows, exact=exact, fmt=fmt,
-                           topology=obj.get("topology"),
-                           lattice=obj.get("lattice"), n=obj.get("n"))
+    parse = Fraction if obj["exact"] else float
+    rows = [[parse(v) for v in row] for row in obj["entries"]]
+    return matrix_document(rows, fmt, obj.get("topology"))

@@ -354,10 +354,15 @@ def test_numeric_singular_chain_is_decided_exactly(chain, stderr, entry):
     (("--n", "2"), 0, ""),                                   # no ring kernel
     (("--n", "6", "--alpha", "0", "--beta", "1"), 0, ""),    # dimers
     (("--n", "6", "--alpha", "0", "--beta", "0"), 4,
-     "singular: numeric pivot 0\n"),
+     "singular: zero couplings\n"),
     (("--n", "5", "--alpha", "2", "--beta", "2"), 0, ""),
+    (("--n", "2", "--beta", "0"), 4, "singular: zero couplings\n"),
+    (("--n", "2", "--alpha", "0"), 0, ""),                   # the edge beta
 ])
 def test_numeric_ring_outside_the_kernels_is_left_to_lu(chain, code, stderr):
+    # Only the answer is left to the LU; singularity is decided exactly:
+    # the 2-site ring is the single edge beta, and an even ring with a
+    # zero coupling is a set of disjoint dimers.
     result = run_in_process("green", "--topology", "cyclic", *chain,
                             "--method", "numeric")
     assert (result[0], result[2]) == (code, stderr)

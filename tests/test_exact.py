@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hueckel_green import (ChainSpec, ExactMatrix, SingularMatrix, Topology,
-                           build_hamiltonian, det_fraction_free, inverse_exact,
-                           mat_vec, solve_exact)
+                           build_hamiltonian, det_fraction_free, inverse_exact)
 
 from oracles import cofactor_det, gauss_jordan_inverse, multiply
 
@@ -83,21 +82,6 @@ def test_inverse_exact_matches_oracle(data):
     inv = inverse_exact(m)
     assert inv.to_lists() == gauss_jordan_inverse(rows)
     assert multiply(rows, inv.to_lists()) == ExactMatrix.identity(n).to_lists()
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_solve_exact_solves(data):
-    n = data.draw(st.integers(1, 6))
-    rows = [[data.draw(rationals) for _ in range(n)] for _ in range(n)]
-    rhs = [data.draw(rationals) for _ in range(n)]
-    m = ExactMatrix.from_rows(rows)
-    if det_fraction_free(m) == 0:
-        with pytest.raises(SingularMatrix):
-            solve_exact(m, rhs)
-        return
-    x = solve_exact(m, rhs)
-    assert mat_vec(m, x) == rhs
 
 
 def test_bareiss_rational_chains_and_rings_match_cofactor_oracle():

@@ -1,5 +1,7 @@
 """Document rendering: frozen formats and JSON round trips."""
 
+import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -39,24 +41,21 @@ def test_parse_rational():
 
 
 def test_csv_matrix():
-    doc = matrix_document([[F(0), F(1, 2)], [F(-1), F(2)]], exact=True,
-                          fmt=Format.CSV, topology="open", n=2)
+    doc = matrix_document([[F(0), F(1, 2)], [F(-1), F(2)]], Format.CSV, "open")
     assert doc.render() == "0,1/2\n-1,2\n"
 
 
 def test_json_matrix_round_trip_exact():
-    doc = matrix_document([[F(0), F(1, 2)], [F(-1, 2), F(3)]], exact=True,
-                          fmt=Format.JSON, topology="cyclic", n=2)
+    doc = matrix_document([[F(0), F(1, 2)], [F(-1, 2), F(3)]], Format.JSON,
+                          "cyclic")
     text = doc.render()
     assert '"exact": true' in text and '"topology": "cyclic"' in text
     assert matrix_document_from_json(text).render() == text
 
 
 def test_json_matrix_round_trip_float():
-    doc = matrix_document([[0.0, 1.0], [-0.5, 2.25]], exact=False,
-                          fmt=Format.JSON, lattice=2, n=2)
+    doc = matrix_document([[0.0, 1.0], [-0.5, 2.25]], Format.JSON)
     text = doc.render()
-    assert '"lattice": 2' in text
     assert matrix_document_from_json(text).render() == text
 
 
@@ -91,7 +90,7 @@ def test_report_document():
 
 def test_csv_refuses_huge_matrices():
     row = [0.0] * 1001
-    doc = matrix_document([row] * 1001, exact=False, fmt=Format.CSV, n=1001)
+    doc = matrix_document([row] * 1001, Format.CSV)
     with pytest.raises(TooLarge):
         doc.render()
     doc.fmt = Format.JSON
@@ -107,3 +106,64 @@ def test_float_matrix_rows_are_python_floats_of_each_entry():
         old = [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
         assert [[v.hex() for v in row] for row in rows] == \
             [[v.hex() for v in row] for row in old]
+
+
+def _seeded_rationals(seed: int, count: int) -> list[Fraction]:
+    rng = random.Random(seed)
+    values = [F(rng.randint(-10 ** 30, 10 ** 30), rng.choice((1, 2, 12, 999983)))
+              for _ in range(count)]
+    return values + [F(-7), F(0), F(10 ** 30 + 1, 3), F(-(10 ** 29), 7)]
+
+
+def test_json_rational_entries_quote_exactly_the_non_integers():
+    values = _seeded_rationals(7, 60)
+    assert any(v.denominator == 1 for v in values[:60])   # integers drawn too
+    text = matrix_document([values[i:i + 8] for i in range(0, 64, 8)],
+                           Format.JSON).render()
+    cells = text.split('"entries": [[')[1].split("]]")[0].replace("], [", ", ")
+    expected = [str(x.numerator) if x.denominator == 1
+                else json.dumps(format_rational(x)) for x in values]
+    assert cells.split(", ") == expected
+    for x, cell in zip(values, expected):
+        assert scalar_document(x, Format.JSON).render() == \
+            f'{{"kind": "scalar", "value": {cell}, "exact": true}}\n'
+        assert scalar_document(x, Format.CSV).render() == \
+            f"{format_rational(x)}\n"
+
+
+@pytest.mark.parametrize("as_rows", [
+    lambda raw: raw,
+    lambda raw: [list(map(np.float64, row)) for row in raw],
+])
+def test_float_documents_render_each_cell_alike_in_csv_and_json(as_rows):
+    rng = random.Random(3)
+    raw = [[rng.uniform(-9, 9) for _ in range(5)] for _ in range(5)]
+    raw[0][0], raw[2][3] = -0.0, 0.0
+    rows = as_rows(raw)
+    csv_cells = [line.split(",") for line in
+                 matrix_document(rows, Format.CSV).render().splitlines()]
+    text = matrix_document(rows, Format.JSON).render()
+    json_cells = [c.split(", ") for c in
+                  text.split('"entries": [[')[1].split("]]")[0].split("], [")]
+    assert csv_cells == json_cells
+    assert csv_cells == [[format_float(x) for x in row] for row in raw]
+    assert csv_cells[0][0] == csv_cells[2][3] == "0.0000000000000000"
+    for zero in (-0.0, np.float64(-0.0)):
+        assert scalar_document(zero, Format.CSV).render() == \
+            "0.0000000000000000\n"
+        assert scalar_document(zero, Format.JSON).render() == \
+            '{"kind": "scalar", "value": 0.0000000000000000, "exact": false}\n'
+
+
+@pytest.mark.parametrize("rows,exact", [
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], True),
+    ([[F(0), F(1, 2)], [F(-1, 2), F(3)]], True),
+    ([[0.0, 1.0], [-1.0, 2.0]], False),
+    ([[np.float64(0.5)] * 4] * 4, False),
+])
+def test_exactness_and_size_are_read_from_the_entries(rows, exact):
+    obj = json.loads(matrix_document(rows, Format.JSON).render())
+    assert obj["exact"] is exact
+    assert obj["n"] == len(rows)
+    scalar = json.loads(scalar_document(rows[0][1], Format.JSON).render())
+    assert scalar["exact"] is exact

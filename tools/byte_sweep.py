@@ -21,7 +21,15 @@ matrix and as the entry `--r 1 --s 2`; `green --method closed|numeric` on
 rings with N = 2-16 and (beta, alpha) = (1, 1), (2, 2), (2, -2), (0, 0)
 and (2, 1/3); and `verify` of every suite and of `all` at `--max-n` -1, 0
 and, where they differ from those, one below and at the smallest size at
-which every check of the suite sees a case.
+which every check of the suite sees a case.  Then a document of every kind
+in CSV and JSON: `build` and `green --method closed|usmani|numeric|spectral`
+on open chains and rings with N = 1-24, 60, 147 and 150, couplings (beta,
+alpha) = (1, 1), (2, -1/3) and (0, 2/3), as a matrix with and without
+`--transmission` and as the `--r/--s` entries (1, N), (2, 1) with
+`--transmission` and the out-of-range (N + 1, 1); `det` on both topologies
+with N = 1-60; `invertible` with d = 1-4 and n = 2-30, with and without
+`--witness`, and a search that exhausts `--budget 1`; and `verify` of every
+suite and of `all` at `--max-n` 10 with `--format json`.
 """
 
 from __future__ import annotations
@@ -61,6 +69,9 @@ RING_COUPLINGS = (("1", "1"), ("2", "2"), ("2", "-2"), ("0", "0"),
 SMALLEST_MAX_N = {"open": 2, "cyclic": 4, "alternating": 6, "lattice": 2,
                   "numbertheory": 9, "trig": 2, "all": 9}
 
+DOCUMENT_SIZES = (*range(1, 25), 60, 147, 150)
+DOCUMENT_COUPLINGS = (("1", "1"), ("2", "-1/3"), ("0", "2/3"))
+
 
 def grid() -> list[list[str]]:
     requests = []
@@ -90,6 +101,34 @@ def grid() -> list[list[str]]:
     for suite, smallest in SMALLEST_MAX_N.items():
         for max_n in sorted({-1, 0, smallest - 1, smallest}):
             requests.append(["verify", "--suite", suite, "--max-n", str(max_n)])
+    for topology in ("open", "cyclic"):
+        for n in DOCUMENT_SIZES:
+            for beta, alpha in DOCUMENT_COUPLINGS:
+                for fmt in ("csv", "json"):
+                    chain = ["--topology", topology, "--n", str(n),
+                             f"--beta={beta}", f"--alpha={alpha}",
+                             "--format", fmt]
+                    requests.append(["build", *chain])
+                    for method in ("closed", "usmani", "numeric", "spectral"):
+                        green = ["green", *chain, "--method", method]
+                        requests.extend([
+                            green, green + ["--transmission"],
+                            green + ["--r", "1", "--s", str(n)],
+                            green + ["--r", "2", "--s", "1", "--transmission"],
+                            green + ["--r", str(n + 1), "--s", "1"]])
+    for topology in ("open", "cyclic"):
+        for n in range(1, 61):
+            for fmt in ("csv", "json"):
+                requests.append(["det", "--topology", topology, "--n", str(n),
+                                 "--format", fmt])
+    for d in range(1, 5):
+        for n_plus_one in range(2, 31):
+            query = ["invertible", "--d", str(d), "--n-plus-one", str(n_plus_one)]
+            requests.extend([query, query + ["--witness"]])
+    requests.append("invertible --d 3 --n-plus-one 9 --witness --budget 1".split())
+    for suite in SMALLEST_MAX_N:
+        requests.append(["verify", "--suite", suite, "--max-n", "10",
+                         "--format", "json"])
     return requests
 
 
