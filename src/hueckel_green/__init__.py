@@ -15,7 +15,7 @@ the command-line requests built on them, never pay its import.
 from .chains import (ChainSpec, EigenSystem, Topology, analytic_eigensystem,
                      build_hamiltonian, spectral_resolvent_entry,
                      spectral_resolvent_matrix, transmission_proxy)
-from .circulant import (CirculantSpec, circulant_inverse_dft, circulant_matrix,
+from .circulant import (CirculantSpec, circulant_inverse_dft,
                         cyclic_inverse_first_column, cyclic_kernel_basis,
                         det_cyclic, symbol_factorization_inverse)
 from .closed_form import (GreenEntryQuery, det_open, green_bond_alternating,
@@ -33,9 +33,9 @@ from .exact import ExactMatrix, det_fraction_free, inverse_exact, mat_vec
 from .lattice import (LatticeSpec, MultiIndex, build_lattice_hamiltonian,
                       flatten, lattice_eigenvalue, lattice_green_entry,
                       lattice_green_matrix, lattice_spectrum, unflatten)
-from .oracle import det_float, lu_inverse, symmetric_eigenvalues
+from .oracle import lu_inverse, symmetric_eigenvalues
 from .tridiagonal import (ThetaPhiTables, TridiagonalSpec, theta_phi,
-                          tridiagonal_matrix, usmani_entry, usmani_inverse)
+                          usmani_entry, usmani_inverse)
 from .trig import (direct_green_matrix, direct_green_sum, kahan_sum,
                    parity_zero_sum, sine_ratio_sign, sum_cos, sum_sin)
 from .vanishing_sums import (CosineWitness, CyclotomicElement,

@@ -60,12 +60,6 @@ class ChainSpec:
     def is_uniform(self) -> bool:
         return self.coupling_odd == 1 and self.coupling_even == 1
 
-    @property
-    def omega(self) -> float:
-        if self.topology is Topology.OPEN:
-            return math.pi / (self.n_sites + 1)
-        return 2.0 * math.pi / self.n_sites
-
     def check_site(self, index: int) -> None:
         if not 1 <= index <= self.n_sites:
             raise IndexOutOfRange(f"site {index} outside 1..{self.n_sites}")
@@ -83,7 +77,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    omega: float
 
 
 def bond_coupling(spec: ChainSpec, bond: int) -> Rational:
@@ -134,7 +127,7 @@ def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
         r = np.arange(1, n + 1)
         lam = 2.0 * np.cos(r * omega)
         q = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(r, r) * omega)
-        return EigenSystem(lam, q, omega)
+        return EigenSystem(lam, q)
     if n < 3:
         raise CycleTooSmall("cyclic eigensystem needs N >= 3")
     omega = 2.0 * math.pi / n
@@ -148,7 +141,7 @@ def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
         q[:, n - m] = math.sqrt(2.0 / n) * np.sin(omega * m * pos)
     if n % 2 == 0:
         q[:, n // 2] = np.where(pos % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-    return EigenSystem(lam, q, omega)
+    return EigenSystem(lam, q)
 
 
 def _modes_and_gaps(spec: ChainSpec, energy: float) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CycleTooSmall, NotSingular, SingularMatrix
-from .exact import ExactMatrix, Rational, as_rational, over_common_denominator
+from .exact import Rational, as_rational, over_common_denominator
 from .vanishing_sums import _divisible_by_cyclotomic, _poly_trim
 
 _ZERO = Fraction(0)
@@ -50,13 +50,6 @@ class CirculantSpec:
     def is_symmetric(self) -> bool:
         x = self.first_column
         return all(x[k] == x[self.n - k] for k in range(1, self.n))
-
-
-def circulant_matrix(spec: CirculantSpec) -> ExactMatrix:
-    n = spec.n
-    x = spec.first_column
-    data = [x[(r - s) % n] for r in range(n) for s in range(n)]
-    return ExactMatrix(n, n, data)
 
 
 def det_cyclic(n: int) -> int:

@@ -10,6 +10,10 @@ Each form is a per-chain kernel: it validates the spec once, builds the
 form's constants (the sign pattern, the mod-4 ring pattern, or the
 alpha/beta powers, each formed on first use), and returns an O(1) entry
 function.  Single entries and `green_matrix` call the same kernel.
+
+The forms need N >= 3 on a ring and nonzero couplings: the 2-site ring and
+an even chain or ring with a zero coupling are refused (exit 3 in the CLI),
+and the numeric route, or Usmani for open chains, answers them.
 """
 
 from __future__ import annotations

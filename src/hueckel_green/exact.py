@@ -101,17 +101,6 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         return cls(n, m, [x for r in rows for x in r])
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        data = [_ZERO] * (n * n)
-        for i in range(n):
-            data[i * n + i] = _ONE
-        return cls(n, n, data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
-
     def get(self, i: int, j: int) -> Fraction:
         """Entry at 0-based (i, j)."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -140,18 +129,6 @@ class ExactMatrix:
         out[nonzero] = [float(data[k]) for k in nonzero]
         return out.reshape(self.rows, self.cols)
 
-    def transpose(self) -> "ExactMatrix":
-        data = [self._data[i * self.cols + j]
-                for j in range(self.cols) for i in range(self.rows)]
-        return ExactMatrix._of_fractions(self.cols, self.rows, data)
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        n = self.rows
-        return all(self._data[i * n + j] == self._data[j * n + i]
-                   for i in range(n) for j in range(i + 1, n))
-
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix._of_fractions(self.rows, self.cols,
                                          [-x for x in self._data])
@@ -162,25 +139,6 @@ class ExactMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self._data)))
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        n, k, m = self.rows, self.cols, other.cols
-        out = [_ZERO] * (n * m)
-        for i in range(n):
-            ri = self.row(i)
-            acc = [_ZERO] * m
-            for t in range(k):
-                a = ri[t]
-                if a:
-                    orow = other.row(t)
-                    for j in range(m):
-                        b = orow[j]
-                        if b:
-                            acc[j] += a * b
-            out[i * m:(i + 1) * m] = acc
-        return ExactMatrix(n, m, out)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"

@@ -118,7 +118,7 @@ def build_lattice_hamiltonian(spec: LatticeSpec) -> ExactMatrix:
                 data[other * total + site] = one
             stride *= n
             rem //= n
-    return ExactMatrix(total, total, data)
+    return ExactMatrix._of_fractions(total, total, data)
 
 
 def lattice_eigenvalue(spec: LatticeSpec, k: MultiIndex) -> float:

@@ -30,13 +30,13 @@ def as_float_matrix(m) -> np.ndarray:
 
 
 def _lu_factor(a: np.ndarray):
-    """In-place LU with partial pivoting; returns (lu, perm, parity, min_pivot_idx)."""
+    """In-place LU with partial pivoting; returns (lu, perm, min_pivot_idx).
+    Raises NumericallySingular at the first pivot within tolerance of zero."""
     import numpy as np
 
     n = a.shape[0]
     lu = a.copy()
     perm = np.arange(n)
-    parity = 1
     scale = max(1.0, float(np.max(np.abs(a))))
     min_pivot = (np.inf, 0)
     for k in range(n):
@@ -45,27 +45,13 @@ def _lu_factor(a: np.ndarray):
         if pivot < min_pivot[0]:
             min_pivot = (pivot, k)
         if pivot <= _PIVOT_TOL * scale:
-            return lu, perm, 0, k       # singular within pivot tolerance
+            raise NumericallySingular(k)
         if piv != k:
             lu[[k, piv]] = lu[[piv, k]]
             perm[[k, piv]] = perm[[piv, k]]
-            parity = -parity
         lu[k + 1:, k] /= lu[k, k]
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm, parity, min_pivot[1]
-
-
-def det_float(m) -> float:
-    """Determinant via LU with partial pivoting; 0.0 when a pivot collapses."""
-    import numpy as np
-
-    a = as_float_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("determinant of non-square matrix")
-    lu, _, parity, _ = _lu_factor(a)
-    if parity == 0:
-        return 0.0
-    return float(parity * np.prod(np.diag(lu)))
+    return lu, perm, min_pivot[1]
 
 
 def lu_inverse(m) -> np.ndarray:
@@ -81,9 +67,7 @@ def lu_inverse(m) -> np.ndarray:
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError("inverse of non-square matrix")
-    lu, perm, parity, pivot_idx = _lu_factor(a)
-    if parity == 0:
-        raise NumericallySingular(pivot_idx)
+    lu, perm, pivot_idx = _lu_factor(a)
     rhs = np.eye(n)[perm]
     # forward substitution (unit lower triangle), then back substitution
     for k in range(1, n):

@@ -185,12 +185,3 @@ def _write_report(payload, fmt: Format, emit) -> None:
     emit(f'{{"kind": "report", "passed": {"true" if ok else "false"}, '
          f'"checks": [{", ".join(rendered)}]}}\n')
 
-
-def matrix_document_from_json(text: str, fmt: Format = Format.JSON) -> OutputDocument:
-    """Parse an emitted matrix document back into a renderable document."""
-    obj = json.loads(text)
-    if obj.get("kind") != "matrix":
-        raise ValueError("not a matrix document")
-    parse = Fraction if obj["exact"] else float
-    rows = [[parse(v) for v in row] for row in obj["entries"]]
-    return matrix_document(rows, fmt, obj.get("topology"))

@@ -203,14 +203,3 @@ def usmani_inverse(spec: TridiagonalSpec) -> ExactMatrix:
                 Fraction(x * y, den) if y else _ZERO for y in ys[start:i]]
     return ExactMatrix._of_fractions(n, n, data)
 
-
-def tridiagonal_matrix(spec: TridiagonalSpec) -> ExactMatrix:
-    """Materialize the tridiagonal matrix itself."""
-    n = spec.n
-    data = [_ZERO] * (n * n)
-    for i in range(n):
-        data[i * n + i] = spec.diag[i]
-    for i in range(n - 1):
-        data[i * n + (i + 1)] = spec.sup[i]
-        data[(i + 1) * n + i] = spec.sub[i]
-    return ExactMatrix(n, n, data)

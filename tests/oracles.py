@@ -71,3 +71,26 @@ def multiply(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Frac
     n, k, m = len(a), len(b), len(b[0])
     return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
              for j in range(m)] for i in range(n)]
+
+
+def identity_rows(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def circulant_rows(first_column) -> list[list[Fraction]]:
+    """Entry (r, s) is first_column[(r - s) mod n]."""
+    n = len(first_column)
+    return [[Fraction(first_column[(r - s) % n]) for s in range(n)]
+            for r in range(n)]
+
+
+def tridiagonal_rows(sub, diag, sup) -> list[list[Fraction]]:
+    """sub[i] at (i+1, i), diag[i] at (i, i), sup[i] at (i, i+1)."""
+    n = len(diag)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(diag[i])
+    for i in range(n - 1):
+        rows[i][i + 1] = Fraction(sup[i])
+        rows[i + 1][i] = Fraction(sub[i])
+    return rows

@@ -16,7 +16,8 @@ from hueckel_green import (ChainSpec, CycleTooSmall, ExactMatrix,
                            green_matrix, green_open,
                            harmonic_sum_identity_check)
 
-from oracles import cofactor_inverse, gauss_jordan_inverse
+from oracles import (cofactor_inverse, gauss_jordan_inverse, identity_rows,
+                     multiply)
 
 F = Fraction
 
@@ -133,8 +134,9 @@ def test_green_cyclic_multiple_of_four_singular():
 def test_green_cyclic_identity_exact():
     for n in (5, 6, 7, 11):
         spec = ChainSpec(Topology.CYCLIC, n)
-        product = build_hamiltonian(spec) @ (-green_matrix(spec))
-        assert product == ExactMatrix.identity(n)
+        product = multiply(build_hamiltonian(spec).to_lists(),
+                           (-green_matrix(spec)).to_lists())
+        assert product == identity_rows(n)
 
 
 def test_green_cyclic_alternating_uniform_entry():
@@ -217,9 +219,11 @@ def test_harmonic_sum_rejects_odd():
 def test_open_identity_and_uniform_reduction(n):
     spec = ChainSpec(Topology.OPEN, n)
     g = green_matrix(spec)
-    assert (build_hamiltonian(spec) @ (-g)) == ExactMatrix.identity(n)
-    spec_alt = ChainSpec(Topology.OPEN, n, coupling_odd=1, coupling_even=1)
-    assert green_matrix(spec_alt) == g
+    assert multiply(build_hamiltonian(spec).to_lists(),
+                    (-g).to_lists()) == identity_rows(n)
+    # The alternating form at unit couplings reduces to the uniform pattern.
+    assert [[green_bond_alternating(GreenEntryQuery(spec, r, s))
+             for s in range(1, n + 1)] for r in range(1, n + 1)] == g.to_lists()
 
 
 # Four closed forms: uniform open, alternating open, uniform ring,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hueckel_green import (ChainSpec, ExactMatrix, SingularMatrix, Topology,
                            build_hamiltonian, det_fraction_free, inverse_exact)
 
-from oracles import cofactor_det, gauss_jordan_inverse, multiply
+from oracles import cofactor_det, gauss_jordan_inverse, identity_rows, multiply
 
 F = Fraction
 rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
@@ -33,20 +33,6 @@ def test_shape_validation():
         ExactMatrix(2, 2, [F(1)] * 3)
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[F(1)], [F(1), F(2)]])
-
-
-def test_matmul_and_identity():
-    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    eye = ExactMatrix.identity(2)
-    assert m @ eye == m
-    assert eye @ m == m
-
-
-def test_transpose_and_symmetry():
-    m = ExactMatrix.from_rows([[0, 1], [2, 0]])
-    assert m.transpose().to_lists() == [[0, 2], [1, 0]]
-    assert not m.is_symmetric()
-    assert ExactMatrix.from_rows([[0, 5], [5, 0]]).is_symmetric()
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,7 +67,7 @@ def test_inverse_exact_matches_oracle(data):
         return
     inv = inverse_exact(m)
     assert inv.to_lists() == gauss_jordan_inverse(rows)
-    assert multiply(rows, inv.to_lists()) == ExactMatrix.identity(n).to_lists()
+    assert multiply(rows, inv.to_lists()) == identity_rows(n)
 
 
 def test_bareiss_rational_chains_and_rings_match_cofactor_oracle():

@@ -6,8 +6,7 @@ import pytest
 from hueckel_green import (ChainSpec, LatticeSpec, NotSymmetric,
                            NumericallySingular, Topology,
                            build_hamiltonian, build_lattice_hamiltonian,
-                           det_cyclic, det_float, det_open, green_matrix,
-                           lattice_spectrum, lu_inverse,
+                           green_matrix, lattice_spectrum, lu_inverse,
                            symmetric_eigenvalues)
 
 
@@ -44,20 +43,6 @@ def test_lu_condition_screen():
         lu_inverse(np.diag([1.0, 1e-13]))
 
 
-def test_det_float_examples():
-    assert det_float(chain(4)) == pytest.approx(1.0, abs=1e-12)
-    assert det_float(chain(6, Topology.CYCLIC)) == pytest.approx(-4.0, abs=1e-10)
-    assert det_float(np.eye(5)) == 1.0
-    assert det_float(chain(5)) == 0.0
-
-
-def test_det_float_matches_tables():
-    for n in range(2, 65):
-        assert det_float(chain(n)) == pytest.approx(det_open(n), abs=1e-8)
-        assert det_float(chain(n, Topology.CYCLIC)) == pytest.approx(
-            det_cyclic(n), rel=1e-8, abs=1e-8)
-
-
 def test_symmetric_eigenvalues_two_site():
     assert np.allclose(symmetric_eigenvalues(chain(2)), [-1.0, 1.0], atol=1e-12)
 
@@ -82,4 +67,4 @@ def test_symmetric_eigenvalues_rejects_asymmetric():
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
-        det_float(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        lu_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -71,6 +71,8 @@ EXACT_ROUTES = {
     "verify_cyclic": (("verify", "--suite", "cyclic", "--max-n", "10"), 0),
     "verify_alternating": (("verify", "--suite", "alternating",
                             "--max-n", "6"), 0),
+    "verify_numbertheory": (("verify", "--suite", "numbertheory",
+                             "--max-n", "9"), 0),
 }
 
 FLOAT_ROUTES = {

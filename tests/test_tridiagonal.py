@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hueckel_green import (ChainSpec, SingularMatrix, Topology,
+from hueckel_green import (ChainSpec, ExactMatrix, SingularMatrix, Topology,
                            TridiagonalSpec, det_fraction_free, theta_phi,
-                           tridiagonal_matrix, usmani_entry, usmani_inverse)
+                           usmani_entry, usmani_inverse)
 
 from oracles import (cofactor_det, cofactor_inverse, gauss_jordan_inverse,
-                     multiply)
+                     multiply, tridiagonal_rows)
 
 F = Fraction
+
+
+def spec_rows(spec):
+    return tridiagonal_rows(spec.sub, spec.diag, spec.sup)
+
 
 rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 5))
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -38,7 +43,7 @@ def test_theta_two_site_determinant():
 def test_theta_three_site_ones():
     spec = TridiagonalSpec((F(1), F(1)), (F(1), F(1), F(1)), (F(1), F(1)))
     # cofactor oracle on [[1,1,0],[1,1,1],[0,1,1]]
-    assert cofactor_det(tridiagonal_matrix(spec).to_lists()) == -1
+    assert cofactor_det(spec_rows(spec)) == -1
     assert theta_phi(spec).determinant == -1
 
 
@@ -57,7 +62,7 @@ def test_usmani_three_site_ones():
     spec = TridiagonalSpec((F(1), F(1)), (F(1), F(1), F(1)), (F(1), F(1)))
     expected = [[0, 1, -1], [1, -1, 1], [-1, 1, 0]]
     assert usmani_inverse(spec).to_lists() == expected
-    assert cofactor_inverse(tridiagonal_matrix(spec).to_lists()) == expected
+    assert cofactor_inverse(spec_rows(spec)) == expected
 
 
 def test_singular_chain_carries_diagnostics():
@@ -101,7 +106,7 @@ def test_theta_matches_fraction_free_determinant_200_specs():
                                tuple(draw() for _ in range(n)),
                                tuple(draw() for _ in range(n - 1)))
         assert theta_phi(spec).determinant == det_fraction_free(
-            tridiagonal_matrix(spec))
+            ExactMatrix.from_rows(spec_rows(spec)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,7 +142,7 @@ def test_usmani_matches_gauss_jordan_oracle():
     spec = TridiagonalSpec((F(2), F(-1, 3), F(5)), (F(0), F(1, 2), F(0), F(-2)),
                            (F(1), F(4), F(-3, 2)))
     inv = usmani_inverse(spec)
-    product = multiply(tridiagonal_matrix(spec).to_lists(), inv.to_lists())
+    product = multiply(spec_rows(spec), inv.to_lists())
     identity = [[F(1) if i == j else F(0) for j in range(4)] for i in range(4)]
     assert product == identity
 
@@ -156,7 +161,7 @@ def _random_spec(rng, n, zero_bond):
 
 
 def _assert_matches_gauss_jordan(spec):
-    rows = tridiagonal_matrix(spec).to_lists()
+    rows = spec_rows(spec)
     try:
         expected = gauss_jordan_inverse(rows)
     except StopIteration:       # the oracle found no pivot: singular

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from hueckel_green import cli, verify
+from hueckel_green import cli, closed_form, verify
 from hueckel_green.chains import ChainSpec, Topology, build_hamiltonian
 from hueckel_green.circulant import CirculantSpec
 from hueckel_green.errors import SingularMatrix
 from hueckel_green.exact import ExactMatrix, inverse_exact
 from hueckel_green.vanishing_sums import (InvertibilityQuery,
                                           find_vanishing_witness)
+
+from oracles import identity_rows
 
 TINY = Fraction(1, 10 ** 12)
 
@@ -59,8 +61,8 @@ def test_certificate_rejects_every_inverse_of_a_singular_ring():
     with pytest.raises(SingularMatrix):
         inverse_exact(h)
     rng = random.Random(3)
-    made_up = [ExactMatrix.zeros(8, 8), ExactMatrix.identity(8),
-               -ExactMatrix.identity(8)]
+    eye = ExactMatrix.from_rows(identity_rows(8))
+    made_up = [ExactMatrix.from_rows([[0] * 8] * 8), eye, -eye]
     made_up += [ExactMatrix.from_rows(
         [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(8)]
          for _ in range(8)]) for _ in range(20)]
@@ -136,3 +138,44 @@ def test_numbertheory_smallest_max_n_is_the_first_witness():
                for n in range(3, 10, 2)]
     found = [(q.dim, q.n) for q in queries if find_vanishing_witness(q)]
     assert found and min(n for _, n in found) == 9
+
+
+def report(suite, max_n):
+    return {c["id"]: c["passed"] for c in verify.run_suite(suite, max_n, 0)}
+
+
+def test_open_reduction_evaluates_the_alternating_form(monkeypatch):
+    # Regression: the reduction compared the uniform open form with itself,
+    # so a wrong alternating form still passed.
+    real = closed_form._alternating_open_kernel
+
+    def off_by_a_seventh(spec):
+        entry = real(spec)
+        return lambda r, s: entry(r, s) + Fraction(1, 7)
+
+    monkeypatch.setattr(closed_form, "_alternating_open_kernel",
+                        off_by_a_seventh)
+    assert report("alternating", 22)["alternating.uniform_reduction_open"] \
+        is False
+
+
+def test_cyclic_reduction_builds_one_kernel_per_ring(monkeypatch):
+    real = closed_form._alternating_cyclic_kernel
+    uniform_sizes = []
+
+    def counted(spec):
+        if spec.is_uniform:
+            uniform_sizes.append(spec.n_sites)
+        return real(spec)
+
+    monkeypatch.setattr(closed_form, "_alternating_cyclic_kernel", counted)
+    assert report("alternating", 22)["alternating.uniform_reduction_cyclic"]
+    assert uniform_sizes == [6, 10, 14, 18, 22]
+
+
+def test_rank_agreement_takes_no_eigenvalues(monkeypatch):
+    def refused(m):
+        raise AssertionError("numbertheory asked for a float spectrum")
+
+    monkeypatch.setattr(verify, "symmetric_eigenvalues", refused)
+    assert report("numbertheory", 9)["numbertheory.matrix_rank_agreement"]
