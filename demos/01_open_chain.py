@@ -26,7 +26,7 @@ for row in G.to_lists():
 usmani = -usmani_inverse(TridiagonalSpec.from_chain(spec))
 print("\nUsmani route identical:", usmani == G)
 
-numeric = -lu_inverse(H.to_float())
+numeric = -np.asarray(lu_inverse(H.to_float()))
 print("float LU route max |diff|:", np.max(np.abs(numeric - G.to_float())))
 
 r, s = 4, 1

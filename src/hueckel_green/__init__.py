@@ -8,8 +8,9 @@ engine, circulant inversion by recurrence and by symbol factorization,
 spectral sums -- and decides existence in d dimensions with an exact
 number-theoretic predicate backed by a cyclotomic-integer oracle.
 
-numpy is imported inside the float routines only, so the exact routes, and
-the command-line requests built on them, never pay its import.
+numpy is imported inside the eigenvalue and array routines only, so the
+exact routes and the float LU, and the command-line requests built on them,
+never pay its import.
 """
 
 from .chains import (ChainSpec, EigenSystem, Topology, analytic_eigensystem,

@@ -84,25 +84,40 @@ def bond_coupling(spec: ChainSpec, bond: int) -> Rational:
     return spec.coupling_odd if bond % 2 else spec.coupling_even
 
 
+def bonds(spec: ChainSpec) -> list[tuple[int, int, Rational]]:
+    """Every bond as (i, j, coupling) with 0-based sites, in O(N).
+
+    The bonds run 1-2, 2-3, ..., (N-1)-N; a cycle with N >= 3 adds the
+    wrap-around bond between sites N and 1.  The degenerate N=2 cycle has
+    the single edge 1-2, consistent with its determinant.
+    """
+    n = spec.n_sites
+    out = [(b - 1, b, bond_coupling(spec, b)) for b in range(1, n)]
+    if spec.topology is Topology.CYCLIC and n >= 3:
+        out.append((n - 1, 0, bond_coupling(spec, n)))
+    return out
+
+
 def build_hamiltonian(spec: ChainSpec) -> ExactMatrix:
     """Assemble the nearest-neighbour Hamiltonian as an exact matrix.
 
-    Symmetric, zero diagonal, nonzeros exactly on the chain (and, for
-    cycles with N >= 3, the wrap-around corner).  The degenerate N=2 cycle
-    collapses to the single-edge matrix, consistent with its determinant.
+    Symmetric, zero diagonal, nonzeros exactly on the `bonds`.
     """
     n = spec.n_sites
     guard_dense(n)
     data = [Fraction(0)] * (n * n)
-    for b in range(1, n):
-        c = bond_coupling(spec, b)
-        data[(b - 1) * n + b] = c
-        data[b * n + (b - 1)] = c
-    if spec.topology is Topology.CYCLIC and n >= 3:
-        c = bond_coupling(spec, n)
-        data[(n - 1) * n] = c
-        data[n - 1] = c
+    for i, j, c in bonds(spec):
+        data[i * n + j] = data[j * n + i] = c
     return ExactMatrix._of_fractions(n, n, data)
+
+
+def float_rows(spec: ChainSpec, sign: int = 1) -> list[dict[int, float]]:
+    """``sign`` * H as one {column: float} mapping of its nonzeros per row,
+    from the `bonds` in O(N)."""
+    rows = [{} for _ in range(spec.n_sites)]
+    for i, j, c in bonds(spec):
+        rows[i][j] = rows[j][i] = float(sign * c)
+    return rows
 
 
 def _require_uniform(spec: ChainSpec) -> None:

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import verify
-from .chains import (ChainSpec, Topology, build_hamiltonian,
+from .chains import (ChainSpec, Topology, build_hamiltonian, float_rows,
                      spectral_resolvent_entry, spectral_resolvent_matrix)
 from .circulant import det_cyclic
 from .closed_form import GreenEntryQuery, det_open, green_entry, green_matrix
@@ -118,12 +118,12 @@ def _green_by_method(spec: ChainSpec, args):
         guard_dense(spec.n_sites)             # before the O(N) exact gate
         _raise_if_singular(spec)
         try:
-            g = -lu_inverse(build_hamiltonian(spec).to_float())
+            g = lu_inverse(float_rows(spec, sign=-1))   # G = (-H)^-1
         except NumericallySingular as err:
             raise IllConditioned(err.pivot_index) from None
         if single:
             GreenEntryQuery(spec, args.r, args.s)
-            return float(g[args.r - 1, args.s - 1])
+            return g[args.r - 1][args.s - 1]
         return g
     # spectral: evaluate the eigenbasis sum at E = 0
     _raise_if_singular_uniform(spec)
@@ -135,14 +135,17 @@ def _green_by_method(spec: ChainSpec, args):
 def _raise_if_singular(spec: ChainSpec) -> None:
     """Raise SingularMatrix unless H has an inverse, decided exactly in O(N).
 
-    An open chain is decided by theta_N, a ring by the closed-form kernel.
+    An open chain is decided by theta_N: with a zero diagonal it is
+    (-beta^2)^(N/2) for even N and 0 for odd N, so the chain is singular
+    iff N is odd or beta = 0.  A ring is decided by the closed-form kernel.
     The kernels refuse two kinds of ring: the 2-site ring, which is the
     single edge beta, and an even ring with a zero coupling, which is a set
     of disjoint dimers.  Either is singular iff beta = 0 and (N = 2 or
     alpha = 0).
     """
     if spec.topology is Topology.OPEN:
-        require_invertible(TridiagonalSpec.from_chain(spec))
+        if spec.n_sites % 2 or spec.coupling_odd == 0:
+            raise SingularMatrix("theta_N = 0", n=spec.n_sites)
         return
     try:
         green_entry(GreenEntryQuery(spec, 1, 1))

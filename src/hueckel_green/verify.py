@@ -89,7 +89,7 @@ def suite_open(max_n: int, rng: random.Random) -> list[dict]:
         entries &= set(g._data) <= _ALLOWED_OPEN
         gf = g.to_float()
         vs_numeric = max(vs_numeric, float(np.max(np.abs(
-            -lu_inverse(h.to_float()) - gf))))
+            -np.asarray(lu_inverse(h.to_float())) - gf))))
         harmonic = max(harmonic, float(np.max(np.abs(
             trig.direct_green_matrix(n) - gf))))
     n = max(2, max_n - max_n % 2)

@@ -94,3 +94,51 @@ def tridiagonal_rows(sub, diag, sup) -> list[list[Fraction]]:
         rows[i][i + 1] = Fraction(sup[i])
         rows[i + 1][i] = Fraction(sub[i])
     return rows
+
+
+def dense_lu_inverse(m):
+    """Dense float LU with partial pivoting and the 1e12 condition screen.
+
+    The package's LU as it was written with numpy arrays, kept verbatim as
+    the reference that the row-nonzero `lu_inverse` must equal bit for bit.
+    """
+    import numpy as np
+
+    from hueckel_green.errors import NumericallySingular
+
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("matrix expected")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries must be finite")
+    n = a.shape[0]
+    if n != a.shape[1]:
+        raise ValueError("inverse of non-square matrix")
+    lu = a.copy()
+    perm = np.arange(n)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    min_pivot = (np.inf, 0)
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(lu[k:, k])))
+        pivot = abs(lu[piv, k])
+        if pivot < min_pivot[0]:
+            min_pivot = (pivot, k)
+        if pivot <= 1e-12 * scale:
+            raise NumericallySingular(k)
+        if piv != k:
+            lu[[k, piv]] = lu[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    rhs = np.eye(n)[perm]
+    # forward substitution (unit lower triangle), then back substitution
+    for k in range(1, n):
+        rhs[k] -= lu[k, :k] @ rhs[:k]
+    for k in range(n - 1, -1, -1):
+        rhs[k] -= lu[k, k + 1:] @ rhs[k + 1:]
+        rhs[k] /= lu[k, k]
+    norm = np.max(np.abs(a).sum(axis=1))
+    inv_norm = np.max(np.abs(rhs).sum(axis=1))
+    if norm * inv_norm > 1e12:
+        raise NumericallySingular(min_pivot[1])
+    return rhs

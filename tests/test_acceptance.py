@@ -61,7 +61,7 @@ def test_criterion_1_open_chain_pattern():
         exact_ok &= set(g._data) <= ALLOWED_OPEN
         exact_ok &= (-usmani_inverse(TridiagonalSpec.from_chain(spec))) == g
         exact_ok &= open_chain_identity_exact(g)
-        lu = lu_inverse(build_hamiltonian(spec).to_float())
+        lu = np.asarray(lu_inverse(build_hamiltonian(spec).to_float()))
         worst_lu = max(worst_lu, float(np.max(np.abs(-lu - g.to_float()))))
     report("1 (open-chain pattern)", exact_ok and worst_lu <= 1e-10,
            f"worst LU deviation {worst_lu:.3e}")

@@ -350,6 +350,42 @@ def test_numeric_singular_chain_is_decided_exactly(chain, stderr, entry):
         == (4, "", stderr)
 
 
+def test_numeric_gate_decides_open_chains_by_the_theta_rule(monkeypatch):
+    # theta_N = (-beta^2)^(N/2) for even N and 0 for odd N: the gate needs
+    # neither recursion table.
+    from fractions import Fraction as F
+
+    from hueckel_green import (ChainSpec, HueckelError, SingularMatrix,
+                               Topology, TridiagonalSpec, tridiagonal)
+    cases = []
+    for n in range(1, 41):
+        for beta, alpha in ((1, 1), (2, F(1, 3)), (F(-3, 2), F(5, 7)),
+                            (1000, 1), (1, 1000), (0, F(2, 3)), (F(2, 3), 0),
+                            (0, 0)):
+            try:
+                spec = ChainSpec(Topology.OPEN, n, beta, alpha)
+            except HueckelError:
+                continue
+            try:
+                tridiagonal.require_invertible(TridiagonalSpec.from_chain(spec))
+                singular = False
+            except SingularMatrix:
+                singular = True
+            cases.append((n, beta, alpha, singular))
+    calls = []
+    theta_phi = tridiagonal.theta_phi
+    monkeypatch.setattr(tridiagonal, "theta_phi",
+                        lambda spec: calls.append(spec) or theta_phi(spec))
+    for n, beta, alpha, singular in cases:
+        code, _, err = run_in_process(
+            "green", "--topology", "open", "--n", str(n), f"--beta={beta}",
+            f"--alpha={alpha}", "--method", "numeric", "--r", "1", "--s", "1")
+        assert (code == 4) == singular, (n, beta, alpha)
+        assert (err == "singular: theta_N = 0\n") == singular
+    assert calls == []
+    assert {c[3] for c in cases} == {True, False}
+
+
 @pytest.mark.parametrize("chain,code,stderr", [
     (("--n", "2"), 0, ""),                                   # no ring kernel
     (("--n", "6", "--alpha", "0", "--beta", "1"), 0, ""),    # dimers

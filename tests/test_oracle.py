@@ -1,13 +1,18 @@
 """Float LU / eigensolver oracle module."""
 
+import random
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
+from oracles import dense_lu_inverse
 
-from hueckel_green import (ChainSpec, LatticeSpec, NotSymmetric,
+from hueckel_green import (ChainSpec, HueckelError, LatticeSpec, NotSymmetric,
                            NumericallySingular, Topology,
                            build_hamiltonian, build_lattice_hamiltonian,
                            green_matrix, lattice_spectrum, lu_inverse,
                            symmetric_eigenvalues)
+from hueckel_green.chains import float_rows
 
 
 def chain(n, topology=Topology.OPEN):
@@ -68,3 +73,62 @@ def test_symmetric_eigenvalues_rejects_asymmetric():
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         lu_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_lu_inverse_takes_arrays_lists_and_mappings():
+    m = chain(6, Topology.CYCLIC) + np.diag([0.5] * 6)
+    mappings = [{j: x for j, x in enumerate(row) if x} for row in m.tolist()]
+    inverses = [lu_inverse(form) for form in (m, m.tolist(), mappings)]
+    assert inverses[0] == inverses[1] == inverses[2]
+    assert all(type(x) is float for row in inverses[0] for x in row)
+    with pytest.raises(ValueError):
+        lu_inverse([[1.0, 0.0]])
+    with pytest.raises(ValueError):
+        lu_inverse([{0: 1.0}, {2: 1.0}])
+    with pytest.raises(ValueError):
+        lu_inverse(np.ones(3))
+
+
+_RNG = random.Random(12)
+LU_COUPLINGS = [(1, 1), (2, F(1, 3)), (F(-3, 2), F(5, 7)), (1000, 1),
+                (1, 1000), (0, F(2, 3)), (F(2, 3), 0)] + [
+    (F(_RNG.choice((-1, 1)) * _RNG.randint(1, 40), _RNG.randint(1, 40)),
+     F(_RNG.choice((-1, 1)) * _RNG.randint(1, 40), _RNG.randint(1, 40)))
+    for _ in range(4)]
+
+
+def chain_grid(sizes):
+    """Every open chain and ring of the sizes under LU_COUPLINGS (beta, alpha)."""
+    for topology in Topology:
+        for n in sizes:
+            for beta, alpha in LU_COUPLINGS:
+                try:
+                    yield ChainSpec(topology, n, beta, alpha)
+                except HueckelError:        # odd N alternating, 1-site ring
+                    continue
+
+
+def outcome(inverse, m):
+    """("inverse", float.hex of each entry, zeros unsigned) or
+    ("refused", pivot index)."""
+    try:
+        rows = inverse(m)
+    except NumericallySingular as err:
+        return "refused", err.pivot_index
+    return "inverse", [[x.hex() if x else "0" for x in row]
+                       for row in np.asarray(rows).tolist()]
+
+
+def test_lu_inverse_equals_the_dense_lu_bit_for_bit():
+    kinds = set()
+    for spec in chain_grid((*range(1, 41), 100, 300)):
+        dense = outcome(dense_lu_inverse, build_hamiltonian(spec).to_float())
+        assert outcome(lu_inverse, float_rows(spec)) == dense, spec
+        kinds.add(dense[0])
+    assert kinds == {"inverse", "refused"}
+
+
+def test_inverse_of_minus_h_is_minus_the_inverse():
+    for spec in chain_grid(range(1, 41)):
+        negated = outcome(lambda h: -np.asarray(lu_inverse(h)), float_rows(spec))
+        assert outcome(lu_inverse, float_rows(spec, sign=-1)) == negated, spec

@@ -1,4 +1,5 @@
-"""Process start: exact requests never import numpy; float requests do.
+"""Process start: exact requests and the float LU never import numpy; the
+eigenvalue routes do.
 
 Each case runs in a fresh interpreter, so `sys.modules` shows exactly what
 the package import and one `cli.main` call loaded.
@@ -73,10 +74,15 @@ EXACT_ROUTES = {
                             "--max-n", "6"), 0),
     "verify_numbertheory": (("verify", "--suite", "numbertheory",
                              "--max-n", "9"), 0),
+    "green_numeric": (("green", *OPEN, "--method", "numeric"), 0),
+    "green_numeric_entry": (("green", *OPEN, "--beta", "2", "--alpha", "1/3",
+                             "--method", "numeric", "--r", "2", "--s", "5",
+                             "--transmission"), 0),
+    "green_numeric_ring": (("green", *CYCLIC, "--beta", "2", "--alpha", "1/3",
+                            "--method", "numeric", "--format", "json"), 0),
 }
 
 FLOAT_ROUTES = {
-    "green_numeric": (("green", *OPEN, "--method", "numeric"), 0),
     "green_spectral_entry": (("green", *OPEN, "--method", "spectral",
                               "--r", "4", "--s", "1"), 0),
     "verify_open": (("verify", "--suite", "open", "--max-n", "6"), 0),

@@ -29,7 +29,12 @@ alpha) = (1, 1), (2, -1/3) and (0, 2/3), as a matrix with and without
 `--transmission` and the out-of-range (N + 1, 1); `det` on both topologies
 with N = 1-60; `invertible` with d = 1-4 and n = 2-30, with and without
 `--witness`, and a search that exhausts `--budget 1`; and `verify` of every
-suite and of `all` at `--max-n` 10 with `--format json`.
+suite and of `all` at `--max-n` 10 with `--format json`.  Last, the
+numeric shapes of the benchmark: `green --method numeric` entries on open
+chains with N = 100, 300 and 394 under the first grid's couplings, at the
+corner sites (1, 1), (1, N), (N, 1) and the interior ones (N/2, N/2 + 1),
+(N/3, N - 4), with and without `--transmission`; and numeric ring matrices
+with N = 290-310 and (beta, alpha) = (1, 1) and (2, 1/3).
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ SMALLEST_MAX_N = {"open": 2, "cyclic": 4, "alternating": 6, "lattice": 2,
                   "numbertheory": 9, "trig": 2, "all": 9}
 
 DOCUMENT_SIZES = (*range(1, 25), 60, 147, 150)
+NUMERIC_ENTRY_SIZES = (100, 300, 394)
+NUMERIC_RING_SIZES = range(290, 311)
 DOCUMENT_COUPLINGS = (("1", "1"), ("2", "-1/3"), ("0", "2/3"))
 
 
@@ -129,6 +136,19 @@ def grid() -> list[list[str]]:
     for suite in SMALLEST_MAX_N:
         requests.append(["verify", "--suite", suite, "--max-n", "10",
                          "--format", "json"])
+    for n in NUMERIC_ENTRY_SIZES:
+        sites = ((1, 1), (1, n), (n, 1), (n // 2, n // 2 + 1), (n // 3, n - 4))
+        for beta, alpha in COUPLINGS:
+            for r, s in sites:
+                entry = ["green", "--topology", "open", "--n", str(n),
+                         f"--beta={beta}", f"--alpha={alpha}", "--method",
+                         "numeric", "--r", str(r), "--s", str(s)]
+                requests.extend([entry, entry + ["--transmission"]])
+    for n in NUMERIC_RING_SIZES:
+        for beta, alpha in (("1", "1"), ("2", "1/3")):
+            requests.append(["green", "--topology", "cyclic", "--n", str(n),
+                             f"--beta={beta}", f"--alpha={alpha}",
+                             "--method", "numeric"])
     return requests
 
 
