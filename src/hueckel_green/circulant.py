@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import CycleTooSmall, NotSingular, SingularMatrix
 from .exact import Rational, as_rational, over_common_denominator
-from .vanishing_sums import _divisible_by_cyclotomic, _poly_trim
+from .vanishing_sums import _divisible_by_cyclotomic, _is_word_prime, _poly_trim
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -293,30 +293,3 @@ def _word_prime(k: int) -> int:
     while not _is_word_prime(p):
         p -= 1
     return p
-
-
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_word_prime(m: int) -> bool:
-    """Miller-Rabin with the first twelve primes as bases, which is exact
-    for every m below 3.18e23 (Sorenson and Webster, 2016)."""
-    if m < 2:
-        return False
-    for w in _WITNESSES:
-        if m % w == 0:
-            return m == w
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for w in _WITNESSES:
-        x = pow(w, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True

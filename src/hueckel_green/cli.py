@@ -8,7 +8,7 @@ singularity without parsing text:
     2  usage / flag errors
     3  domain errors (bad spec, unsupported method, too large, ...)
     4  singular matrix or lattice
-    5  witness search budget exhausted
+    5  witness search budget (table entries plus walked heads) exhausted
 """
 
 from __future__ import annotations

@@ -124,6 +124,7 @@ class SingularLattice(HueckelError):
 
 
 class BudgetExhausted(HueckelError):
-    """Witness search ran out of nodes before exhausting the space."""
+    """Witness search would pass its budget of table entries plus walked
+    heads before exhausting the space."""
 
     exit_code = 5

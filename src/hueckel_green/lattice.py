@@ -184,11 +184,16 @@ def lattice_green_entry(spec: LatticeSpec, r: MultiIndex, s: MultiIndex) -> floa
 
 
 def lattice_green_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Dense G_d = -H_d^{-1} via the eigenbasis, one tensor factor at a time.
+    """Dense G_d = -H_d^{-1} via the eigenbasis, one GEMM per axis.
 
-    The d-fold tensor-product eigenvector matrix is never materialized;
-    each axis of the reciprocal-eigenvalue tensor is contracted against the
-    chain modes in turn.
+    The d-fold tensor-product eigenvector matrix is never materialized.
+    With P[k, (a, b)] = q[a, k] q[b, k] built once, each axis of the
+    reciprocal-eigenvalue tensor is contracted as one matrix product
+    x^T P, which consumes the leading mode axis and appends that axis's
+    (row, col) pair.  Before the last axis the pairs are transposed once to
+    (k_d, a_1..a_{d-1}, b_1..b_{d-1}), 1/N of the output's size; the last
+    product then runs one row block a_1..a_{d-1} at a time, each written
+    straight into its place in G, so no output-sized temporary exists.
     """
     import numpy as np
 
@@ -198,9 +203,14 @@ def lattice_green_matrix(spec: LatticeSpec) -> np.ndarray:
     _require_invertible(spec)
     n, d = spec.linear_size, spec.dim
     q = _chain_modes(spec)
+    pairs = (q[:, None, :] * q[None, :, :]).reshape(n * n, n).T
     x = -1.0 / lattice_spectrum(spec)
-    for _ in range(d):
-        # contract the leading mode axis; append the new (row, col) axes
-        x = np.einsum("k...,ak,bk->...ab", x, q, q)
-    order = [2 * i for i in range(d)] + [2 * i + 1 for i in range(d)]
-    return x.transpose(order).reshape(spec.total_sites, spec.total_sites)
+    for _ in range(d - 1):
+        x = x.reshape(n, -1).T @ pairs
+    side = n ** (d - 1)
+    order = [0, *range(1, 2 * d - 1, 2), *range(2, 2 * d - 1, 2)]
+    x = x.reshape((n,) * (2 * d - 1)).transpose(order).reshape(n, side, side)
+    g = np.empty((side, n, side, n))
+    for a in range(side):
+        g[a] = (x[:, a].T @ pairs).reshape(side, n, n).transpose(1, 0, 2)
+    return g.reshape(spec.total_sites, spec.total_sites)

@@ -8,8 +8,15 @@ The lattice Hamiltonian is invertible iff no d cosines cos(k_i pi / n)
   divisible by the 2n-th cyclotomic polynomial;
 * the closed-form predicate deciding invertibility from the parity of d
   and the smallest prime divisor of n;
-* an exhaustive, branch-and-bound witness search whose candidates are
-  confirmed by the exact oracle, never by a float threshold.
+* an exhaustive witness search that uses no floats.  Each cosine is keyed
+  by its exact image zeta^k + zeta^-k in F_p, zeta a primitive 2n-th root
+  of unity modulo a prime p = 1 (mod 2n); keys that do not sum to zero
+  prove a nonzero sum.  The search meets in the middle: the key sums of
+  all floor(d/2)-multisets go into one table, the ceil(d/2)-multisets are
+  walked in lexicographic order looking up their negated key sums, and a
+  match is returned only once the cyclotomic test confirms it, so the
+  answer is the lexicographically smallest witness.  Its budget counts
+  table entries plus walked heads.
 
 For odd prime n every rotated prime cycle of 2n-th roots of unity contains
 +-1, so no vanishing sum of d cosines exists for *any* odd d; the predicate
@@ -20,19 +27,12 @@ eigenvalues +-1, +-3 and is invertible).
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExhausted, InvalidSize
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
-
-# Margin for float screening in the search.  True zeros accumulate at most
-# ~1e-13 of rounding over <= 7 terms, so nothing real is ever pruned; the
-# exact oracle has the final word on every candidate.
-_FLOAT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,14 @@ def is_invertible(q: InvertibilityQuery) -> bool:
     k = n/2 zero cosine; even d pairs cosines k, n-k off; and for odd
     composite n with smallest prime p <= d a rotated p-cycle avoiding +-1
     supplies a vanishing sum.
+
+    The prime boundary: for prime n the only primes dividing 2n are 2 and
+    n, so every vanishing sum of 2n-th roots of unity with nonnegative
+    coefficients is a sum of rotated 2- and n-cycles (Lam and Leung,
+    J. Algebra 224 (2000); Conway and Jones, Acta Arith. 30 (1976), for the
+    short sums).  Every rotated n-cycle contains +1 or -1, which no
+    cos(k pi / n) with 1 <= k <= n-1 supplies, so a vanishing sum pairs
+    each k with n - k and d is even.
     """
     if q.n % 2 == 0 or q.dim % 2 == 0:
         return False
@@ -193,50 +201,168 @@ def find_vanishing_witness(q: InvertibilityQuery,
                            budget: int = DEFAULT_SEARCH_BUDGET) -> CosineWitness | None:
     """Exhaustive search for a vanishing cosine sum, or None if none exists.
 
-    Enumerates sorted multisets k_1 <= ... <= k_d in lexicographic order
-    with branch-and-bound pruning on float partial sums; the last slot is
-    located by binary search.  Candidates within the float tolerance are
-    confirmed with the exact cyclotomic oracle before being returned, so a
-    returned witness is exact and a None answer means the space was fully
-    exhausted.  Raises BudgetExhausted after ``budget`` visited nodes.
+    Meet in the middle over exact keys.  Each cos(k pi / n) is keyed by its
+    image zeta^k + zeta^-k in F_p, zeta a primitive 2n-th root of unity
+    modulo a prime p = 1 (mod 2n) (`_cosine_keys`); reduction modulo p is a
+    ring map from the cyclotomic integers, so a multiset whose keys do not
+    sum to 0 has a nonzero cosine sum.  A sorted d-multiset splits into a
+    head of ceil(d/2) and a tail of floor(d/2) mode numbers with the tail's
+    first at least the head's last.  Every tail is hashed by its key sum;
+    the heads are then walked in lexicographic order, each looking up the
+    negation of its key sum, and a match is returned only once
+    `cosine_sum_is_zero_exact` confirms it.  Heads in order and each key's
+    tails in order make the answer the lexicographically smallest witness,
+    and None means the space was fully exhausted.
+
+    ``budget`` bounds the table entries plus the heads walked.  The table
+    holds C(n - 2 + floor(d/2), floor(d/2)) entries; when that leaves no
+    room for a head, BudgetExhausted is raised before anything is built,
+    otherwise once the walk would pass the budget.
     """
     n, d = q.n, q.dim
-    cos_vals = [math.cos(k * math.pi / n) for k in range(n)]  # index by k; k=0 unused
-    neg_desc = [-cos_vals[k] for k in range(1, n)]            # ascending in k
-    nodes = 0
+    head_len, tail_len = d - d // 2, d // 2
+    visited = _multiset_count(n, tail_len)
+    if visited >= budget:
+        raise _exhausted(q, budget)
+    p, keys = _cosine_keys(n)
+    levels = _sorted_multisets(n, tail_len, keys, p)
+    table = _tail_table(*levels[tail_len])
+    top = n ** (tail_len - 1) if tail_len else 0    # tail < k * top: first < k
+    for prefix_key, prefix in zip(*levels[head_len - 1]):
+        low = prefix % n or 1                       # the head's last is >= low
+        stop = min(n, low + budget - visited)
+        visited += stop - low
+        target = -prefix_key
+        for k in [k for k in range(low, stop) if (target - keys[k]) % p in table]:
+            tails = table[(target - keys[k]) % p]
+            head = _unpack(prefix, head_len - 1, n) + (k,)
+            for tail in tails if type(tails) is list else (tails,):
+                if tail < k * top:
+                    continue
+                ks = head + _unpack(tail, tail_len, n)
+                if cosine_sum_is_zero_exact(n, ks):
+                    return CosineWitness(ks)
+        if stop < n:
+            raise _exhausted(q, budget)
+    return None
 
-    def final_slot(partial: float, k_min: int, prefix: tuple[int, ...]):
-        # candidates: k >= k_min with cos_vals[k] ~ -partial
-        lo = bisect.bisect_left(neg_desc, partial - _FLOAT_TOLERANCE)
-        hi = bisect.bisect_right(neg_desc, partial + _FLOAT_TOLERANCE)
-        for idx in range(lo, hi):
-            k = idx + 1
-            if k < k_min:
-                continue
-            if cosine_sum_is_zero_exact(n, prefix + (k,)):
-                return CosineWitness(prefix + (k,))
-        return None
 
-    def search(prefix: tuple[int, ...], k_min: int, partial: float):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(
-                f"witness search for d={d}, n={n} exceeded {budget} nodes")
-        if len(prefix) == d - 1:
-            return final_slot(partial, k_min, prefix)
-        remaining = d - len(prefix) - 1
-        floor_val = cos_vals[n - 1]
-        for k in range(k_min, n):
-            head = partial + cos_vals[k]
-            # largest achievable total keeps using cos_vals[k]
-            if head + remaining * cos_vals[k] < -_FLOAT_TOLERANCE:
-                break   # only shrinks as k grows
-            if head + remaining * floor_val > _FLOAT_TOLERANCE:
-                continue
-            found = search(prefix + (k,), k, head)
-            if found is not None:
-                return found
-        return None
+def _exhausted(q: InvertibilityQuery, budget: int) -> BudgetExhausted:
+    return BudgetExhausted(
+        f"witness search for d={q.dim}, n={q.n} exceeded {budget} nodes")
 
-    return search((), 1, 0.0)
+
+def _multiset_count(n: int, size: int) -> int:
+    """C(n - 2 + size, size): sorted size-multisets of 1..n-1."""
+    count = 1
+    for i in range(1, size + 1):
+        count = count * (n - 2 + i) // i
+    return count
+
+
+def _sorted_multisets(n: int, size: int, keys, p: int) -> list[tuple[list, list]]:
+    """(key sums mod p, packed multisets) of the sorted j-multisets of
+    1..n-1 for each j = 0..size, in lexicographic order.
+
+    A multiset packs big-endian in base n, so packed order is
+    lexicographic order.  The j-multisets starting with k are k followed by
+    the (j-1)-multisets starting at k or later, a suffix of level j-1.
+    """
+    sums, packs, starts = [0], [0], [0] * n
+    levels = [(sums, packs)]
+    for j in range(1, size + 1):
+        high = n ** (j - 1)
+        next_sums: list[int] = []
+        next_packs: list[int] = []
+        next_starts = [0] * n
+        for k in range(1, n):
+            next_starts[k] = len(next_sums)
+            lo, key, head = starts[k], keys[k], k * high
+            next_sums += [(key + s) % p for s in sums[lo:]]
+            next_packs += [head + x for x in packs[lo:]]
+        sums, packs, starts = next_sums, next_packs, next_starts
+        levels.append((sums, packs))
+    return levels
+
+
+def _tail_table(sums: list[int], packs: list[int]) -> dict:
+    """Key sum -> packed tail, or a list of tails in order when keys collide."""
+    table: dict = {}
+    for key, packed in zip(sums, packs):
+        found = table.get(key)
+        if found is None:
+            table[key] = packed
+        elif type(found) is list:
+            found.append(packed)
+        else:
+            table[key] = [found, packed]
+    return table
+
+
+def _unpack(packed: int, size: int, n: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(size):
+        packed, k = divmod(packed, n)
+        digits.append(k)
+    return tuple(reversed(digits))
+
+
+def _cosine_keys(n: int) -> tuple[int, list[int]]:
+    """p and the key zeta^k + zeta^-k mod p of every k in 0..n-1."""
+    p, zeta = _key_prime(n)
+    inverse = pow(zeta, -1, p)
+    keys, up, down = [], 1, 1
+    for _ in range(n):
+        keys.append((up + down) % p)
+        up, down = up * zeta % p, down * inverse % p
+    return p, keys
+
+
+@lru_cache(maxsize=None)
+def _key_prime(n: int) -> tuple[int, int]:
+    """The largest prime p = 1 (mod 2n) below 2^62, and a primitive 2n-th
+    root of unity modulo p: the first g^((p-1)/2n), g = 2, 3, ..., whose
+    order is not a proper divisor of 2n."""
+    m = 2 * n
+    p = ((1 << 62) - 2) // m * m + 1
+    while not _is_word_prime(p):
+        p -= m
+    factors = set()
+    rest = m
+    while rest > 1:
+        f = smallest_prime_divisor(rest)
+        factors.add(f)
+        rest //= f
+    g = 2
+    while True:
+        zeta = pow(g, (p - 1) // m, p)
+        if all(pow(zeta, m // f, p) != 1 for f in factors):
+            return p, zeta
+        g += 1
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_word_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, which is exact
+    for every m below 3.18e23 (Sorenson and Webster, 2016)."""
+    if m < 2:
+        return False
+    for w in _WITNESSES:
+        if m % w == 0:
+            return m == w
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True

@@ -7,6 +7,7 @@ closed form is checked against code that shares nothing with it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -142,3 +143,85 @@ def dense_lu_inverse(m):
     if norm * inv_norm > 1e12:
         raise NumericallySingular(min_pivot[1])
     return rhs
+
+
+def einsum_lattice_green_matrix(spec):
+    """The lattice Green's matrix by the three-operand einsum per axis.
+
+    The package's contraction as it was written before it became one GEMM
+    per axis, kept verbatim as the reference for the GEMM route.
+    """
+    import numpy as np
+
+    from hueckel_green.lattice import _chain_modes, lattice_spectrum
+
+    n, d = spec.linear_size, spec.dim
+    q = _chain_modes(spec)
+    x = -1.0 / lattice_spectrum(spec)
+    for _ in range(d):
+        # contract the leading mode axis; append the new (row, col) axes
+        x = np.einsum("k...,ak,bk->...ab", x, q, q)
+    order = [2 * i for i in range(d)] + [2 * i + 1 for i in range(d)]
+    return x.transpose(order).reshape(spec.total_sites, spec.total_sites)
+
+
+# Margin for float screening in the search.  True zeros accumulate at most
+# ~1e-13 of rounding over <= 7 terms, so nothing real is ever pruned; the
+# exact oracle has the final word on every candidate.
+_FLOAT_TOLERANCE = 1e-9
+
+
+def float_pruned_witness(q, budget: int = 10_000_000):
+    """Exhaustive search for a vanishing cosine sum, or None if none exists.
+
+    The package's search before it became an exact meet in the middle,
+    kept verbatim as the reference whose witnesses the new search must
+    reproduce.  Enumerates sorted multisets k_1 <= ... <= k_d in
+    lexicographic order with branch-and-bound pruning on float partial
+    sums; the last slot is located by binary search.  Candidates within the float tolerance are
+    confirmed with the exact cyclotomic oracle before being returned, so a
+    returned witness is exact and a None answer means the space was fully
+    exhausted.  Raises BudgetExhausted after ``budget`` visited nodes.
+    """
+    from hueckel_green import BudgetExhausted, CosineWitness, cosine_sum_is_zero_exact
+
+    n, d = q.n, q.dim
+    cos_vals = [math.cos(k * math.pi / n) for k in range(n)]  # index by k; k=0 unused
+    neg_desc = [-cos_vals[k] for k in range(1, n)]            # ascending in k
+    nodes = 0
+
+    def final_slot(partial: float, k_min: int, prefix: tuple[int, ...]):
+        # candidates: k >= k_min with cos_vals[k] ~ -partial
+        lo = bisect.bisect_left(neg_desc, partial - _FLOAT_TOLERANCE)
+        hi = bisect.bisect_right(neg_desc, partial + _FLOAT_TOLERANCE)
+        for idx in range(lo, hi):
+            k = idx + 1
+            if k < k_min:
+                continue
+            if cosine_sum_is_zero_exact(n, prefix + (k,)):
+                return CosineWitness(prefix + (k,))
+        return None
+
+    def search(prefix: tuple[int, ...], k_min: int, partial: float):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhausted(
+                f"witness search for d={d}, n={n} exceeded {budget} nodes")
+        if len(prefix) == d - 1:
+            return final_slot(partial, k_min, prefix)
+        remaining = d - len(prefix) - 1
+        floor_val = cos_vals[n - 1]
+        for k in range(k_min, n):
+            head = partial + cos_vals[k]
+            # largest achievable total keeps using cos_vals[k]
+            if head + remaining * cos_vals[k] < -_FLOAT_TOLERANCE:
+                break   # only shrinks as k grows
+            if head + remaining * floor_val > _FLOAT_TOLERANCE:
+                continue
+            found = search(prefix + (k,), k, head)
+            if found is not None:
+                return found
+        return None
+
+    return search((), 1, 0.0)

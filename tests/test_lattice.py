@@ -10,6 +10,7 @@ from hueckel_green import (ChainSpec, IndexOutOfRange, LatticeSpec,
                            lattice_eigenvalue, lattice_green_entry,
                            lattice_green_matrix, lattice_spectrum,
                            symmetric_eigenvalues, unflatten)
+from oracles import einsum_lattice_green_matrix
 
 
 def kron_sum_oracle(d: int, n: int) -> np.ndarray:
@@ -133,6 +134,30 @@ def test_green_matrix_three_dimensional_residual_and_symmetry():
     g = lattice_green_matrix(spec)
     assert float(np.max(np.abs(h @ g + np.eye(64)))) <= 1e-8
     assert float(np.max(np.abs(g - g.T))) <= 1e-10
+
+
+def apply_lattice_hamiltonian(g: np.ndarray, d: int, n: int) -> np.ndarray:
+    """H_d @ g from the neighbour structure: every axis of the row index
+    couples each site to the one before and the one after it."""
+    x = g.reshape((n,) * d + (-1,))
+    out = np.zeros_like(x)
+    for axis in range(d):
+        head = (slice(None),) * axis
+        out[head + (slice(1, None),)] += x[head + (slice(None, -1),)]
+        out[head + (slice(None, -1),)] += x[head + (slice(1, None),)]
+    return out.reshape(g.shape)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 8), (1, 16), (3, 2), (3, 4),
+                                 (3, 6), (3, 10), (3, 12), (3, 16)])
+def test_green_matrix_gemm_matches_einsum(d, n):
+    spec = LatticeSpec(d, n)
+    g = lattice_green_matrix(spec)
+    assert float(np.max(np.abs(g - einsum_lattice_green_matrix(spec)))) <= 1e-14
+    assert float(np.max(np.abs(g - g.T))) <= 1e-14
+    residual = apply_lattice_hamiltonian(g, d, n)
+    residual.flat[::spec.total_sites + 1] += 1.0        # H G + I
+    assert float(np.max(np.abs(residual))) <= 1e-10
 
 
 def test_green_matrix_rejects_even_dimension():

@@ -12,7 +12,9 @@ from hueckel_green import (BudgetExhausted, CosineWitness, CyclotomicElement,
                            build_lattice_hamiltonian, cosine_sum_is_zero_exact,
                            cyclotomic_polynomial, find_vanishing_witness,
                            is_invertible, roots_of_unity_sum_is_zero,
-                           smallest_prime_divisor, symmetric_eigenvalues)
+                           smallest_prime_divisor, symmetric_eigenvalues,
+                           vanishing_sums)
+from oracles import float_pruned_witness
 
 
 def test_cosine_zero_examples():
@@ -124,10 +126,11 @@ def test_witness_soundness(d, n):
 
 
 def test_agreement_sweep_small():
-    for d in (1, 3, 5):
-        for n in range(3, 30, 2):
-            query = InvertibilityQuery(d, n)
-            assert is_invertible(query) == (find_vanishing_witness(query) is None)
+    cases = [(d, n) for d in (1, 3, 5) for n in range(3, 30, 2)]
+    cases += [(d, n) for d in (7, 9) for n in range(3, 32, 2)]
+    for d, n in cases:
+        query = InvertibilityQuery(d, n)
+        assert is_invertible(query) == (find_vanishing_witness(query) is None)
 
 
 def test_even_cases_always_have_witnesses():
@@ -136,3 +139,69 @@ def test_even_cases_always_have_witnesses():
             assert find_vanishing_witness(InvertibilityQuery(d, n)) is not None
     for n in range(3, 26):
         assert find_vanishing_witness(InvertibilityQuery(2, n)) is not None
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_meet_in_the_middle_returns_the_float_pruned_witness(d):
+    # The same lexicographically smallest witness, or None, as the old
+    # branch and bound, so `invertible --witness` bytes cannot move.
+    for n in range(2, 32):
+        query = InvertibilityQuery(d, n)
+        assert find_vanishing_witness(query) == float_pruned_witness(query)
+
+
+def test_meet_in_the_middle_matches_at_eleven_terms():
+    query = InvertibilityQuery(11, 23)
+    assert find_vanishing_witness(query) is None
+    assert float_pruned_witness(query) is None
+
+
+class _NoFloats:
+    def __getattr__(self, name):
+        raise AssertionError(f"witness search touched math.{name}")
+
+
+@pytest.mark.parametrize("d,n,expected", [
+    (9, 27, (1, 1, 1, 1, 17, 19, 26, 26, 26)),
+    (7, 31, None),
+    (1, 8, (4,)),
+])
+def test_search_uses_no_float_math(monkeypatch, d, n, expected):
+    monkeypatch.setattr(vanishing_sums, "math", _NoFloats(), raising=False)
+    vanishing_sums._key_prime.cache_clear()
+    witness = find_vanishing_witness(InvertibilityQuery(d, n))
+    assert (witness.ks if witness else None) == expected
+
+
+@pytest.mark.parametrize("d,n", [(9, 29), (5, 31), (2, 7), (1, 4)])
+def test_budget_below_the_table_builds_nothing(monkeypatch, d, n):
+    built = []
+    for name in ("_sorted_multisets", "_tail_table"):
+        monkeypatch.setattr(vanishing_sums, name,
+                            lambda *args, name=name: built.append(name))
+    table = math.comb(n - 2 + d // 2, d // 2)
+    with pytest.raises(BudgetExhausted):
+        find_vanishing_witness(InvertibilityQuery(d, n), budget=table)
+    assert built == []
+
+
+def test_budget_counts_table_entries_and_heads():
+    # (3, 9): 8 one-element tails; the witness (1, 5, 7) has the 5th head.
+    query = InvertibilityQuery(3, 9)
+    with pytest.raises(BudgetExhausted):
+        find_vanishing_witness(query, budget=8 + 4)
+    assert find_vanishing_witness(query, budget=8 + 5) == CosineWitness((1, 5, 7))
+    # an invertible case walks all C(n - 2 + 2, 2) heads before answering None
+    query = InvertibilityQuery(3, 7)
+    with pytest.raises(BudgetExhausted):
+        find_vanishing_witness(query, budget=6 + 20)
+    assert find_vanishing_witness(query, budget=6 + 21) is None
+
+
+def test_key_prime_is_the_shared_miller_rabin_prime():
+    for n in (2, 3, 29, 31, 60):
+        p, keys = vanishing_sums._cosine_keys(n)
+        assert p % (2 * n) == 1 and p < 1 << 62
+        assert vanishing_sums._is_word_prime(p)
+        assert len(keys) == n
+        assert (keys[n // 2] == 0) == (n % 2 == 0)   # cos(pi/2) = 0

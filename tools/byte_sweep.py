@@ -28,8 +28,10 @@ alpha) = (1, 1), (2, -1/3) and (0, 2/3), as a matrix with and without
 `--transmission` and as the `--r/--s` entries (1, N), (2, 1) with
 `--transmission` and the out-of-range (N + 1, 1); `det` on both topologies
 with N = 1-60; `invertible` with d = 1-4 and n = 2-30, with and without
-`--witness`, and a search that exhausts `--budget 1`; and `verify` of every
-suite and of `all` at `--max-n` 10 with `--format json`.  Last, the
+`--witness`, with `--witness` at d = 5, 7, 9 and odd n = 3-35 and at
+(d, n) = (11, 23), and searches that exhaust `--budget 1` and `--budget 3`;
+and `verify` of every suite and of `all` at `--max-n` 10 with `--format
+json`.  Last, the
 numeric shapes of the benchmark: `green --method numeric` entries on open
 chains with N = 100, 300 and 394 under the first grid's couplings, at the
 corner sites (1, 1), (1, N), (N, 1) and the interior ones (N/2, N/2 + 1),
@@ -132,7 +134,14 @@ def grid() -> list[list[str]]:
         for n_plus_one in range(2, 31):
             query = ["invertible", "--d", str(d), "--n-plus-one", str(n_plus_one)]
             requests.extend([query, query + ["--witness"]])
-    requests.append("invertible --d 3 --n-plus-one 9 --witness --budget 1".split())
+    for d in (5, 7, 9):
+        for n_plus_one in range(3, 36, 2):
+            requests.append(["invertible", "--d", str(d), "--n-plus-one",
+                             str(n_plus_one), "--witness"])
+    requests.append("invertible --d 11 --n-plus-one 23 --witness".split())
+    for budget in ("1", "3"):
+        requests.append(["invertible", "--d", "3", "--n-plus-one", "9",
+                         "--witness", "--budget", budget])
     for suite in SMALLEST_MAX_N:
         requests.append(["verify", "--suite", suite, "--max-n", "10",
                          "--format", "json"])
