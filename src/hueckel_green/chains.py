@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING
 
 from .errors import (AlternatingOddN, CycleTooSmall, EnergyAtPole,
@@ -126,73 +128,133 @@ def _require_uniform(spec: ChainSpec) -> None:
             "analytic eigensystem needs unit couplings; use the numeric oracle")
 
 
+def _require_eigenbasis(spec: ChainSpec) -> None:
+    guard_dense(spec.n_sites)
+    if spec.topology is Topology.CYCLIC and spec.n_sites < 3:
+        raise CycleTooSmall("cyclic eigensystem needs N >= 3")
+
+
+def _eigenvalues(spec: ChainSpec) -> list[float]:
+    """eps_k in mode order: 2 cos(k*omega) for the open chain (k = 1..N,
+    omega = pi/(N+1)), 2 cos(2*pi*j/N) for the cycle (j = 0..N-1)."""
+    n = spec.n_sites
+    if spec.topology is Topology.OPEN:
+        omega = math.pi / (n + 1)
+        return [2.0 * math.cos(k * omega) for k in range(1, n + 1)]
+    omega = 2.0 * math.pi / n
+    return [2.0 * math.cos(omega * j) for j in range(n)]
+
+
+def _mode_row(spec: ChainSpec, r: int) -> list[float]:
+    """Row r (1-based site) of the eigenvector matrix, in O(N).
+
+    Open chain: sqrt(2/(N+1)) sin(r k omega).  Cycle, at position p = r-1:
+    1/sqrt(N) for j = 0, sqrt(2/N) cos(j omega p) for 1 <= j <= (N-1)/2,
+    the alternating mode (+-1)/sqrt(N) at j = N/2 for even N, and
+    sqrt(2/N) sin(m omega p) at j = N-m, so the sines run m = (N-1)/2..1.
+    """
+    n = spec.n_sites
+    if spec.topology is Topology.OPEN:
+        omega = math.pi / (n + 1)
+        scale = math.sqrt(2.0 / (n + 1))
+        return [scale * math.sin(r * k * omega) for k in range(1, n + 1)]
+    omega = 2.0 * math.pi / n
+    p = r - 1
+    unit = 1.0 / math.sqrt(n)
+    scale = math.sqrt(2.0 / n)
+    half = (n - 1) // 2
+    row = [unit]
+    row += [scale * math.cos(omega * m * p) for m in range(1, half + 1)]
+    if n % 2 == 0:
+        row.append(unit if p % 2 == 0 else -unit)
+    row += [scale * math.sin(omega * m * p) for m in range(half, 0, -1)]
+    return row
+
+
+def _gaps(spec: ChainSpec, energy: float) -> list[float]:
+    """E - eps_k for every mode, refusing an energy on the spectrum."""
+    gaps = [energy - eps for eps in _eigenvalues(spec)]
+    nearest = min(map(abs, gaps))
+    if nearest < 1e-9:
+        raise EnergyAtPole(
+            f"E={energy} within 1e-9 of an eigenvalue (gap {nearest:.3e})")
+    return gaps
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's float64 sum of ``values``, operation for operation.
+
+    `np.sum` adds the pairwise total of the terms to 0.0 (Higham, "The
+    accuracy of floating point summation", SIAM J. Sci. Comput. 14, 1993).
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: list[float], lo: int, n: int) -> float:
+    """Below 8 terms: left to right from 0.0.  Up to 128: eight strided
+    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the rest left to right.  Above: split at half, rounded down to a
+    multiple of 8."""
+    if n < 8:
+        return reduce(add, values[lo:lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(add, values[j:end:8]) for j in range(lo, lo + 8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end:lo + n], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
+
+
 def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
     """Closed-form eigenpairs of the uniform open chain or cycle.
 
     Open chain: eigenvalue 2 cos(r*omega) with sine eigenvectors,
     omega = pi/(N+1).  Cycle: 2 cos(2*pi*j/N) with the real Fourier basis.
+    The N rows of `_mode_row` as one array: O(N^2).
     """
     import numpy as np
 
     _require_uniform(spec)
-    n = spec.n_sites
-    guard_dense(n)
-    if spec.topology is Topology.OPEN:
-        omega = math.pi / (n + 1)
-        r = np.arange(1, n + 1)
-        lam = 2.0 * np.cos(r * omega)
-        q = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(r, r) * omega)
-        return EigenSystem(lam, q)
-    if n < 3:
-        raise CycleTooSmall("cyclic eigensystem needs N >= 3")
-    omega = 2.0 * math.pi / n
-    j = np.arange(n)
-    lam = 2.0 * np.cos(omega * j)
-    q = np.empty((n, n))
-    pos = np.arange(n)
-    q[:, 0] = 1.0 / math.sqrt(n)
-    for m in range(1, (n - 1) // 2 + 1):
-        q[:, m] = math.sqrt(2.0 / n) * np.cos(omega * m * pos)
-        q[:, n - m] = math.sqrt(2.0 / n) * np.sin(omega * m * pos)
-    if n % 2 == 0:
-        q[:, n // 2] = np.where(pos % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-    return EigenSystem(lam, q)
+    _require_eigenbasis(spec)
+    rows = [_mode_row(spec, r) for r in range(1, spec.n_sites + 1)]
+    return EigenSystem(np.array(_eigenvalues(spec)), np.array(rows))
 
 
 def _modes_and_gaps(spec: ChainSpec, energy: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and E - eps_k, refusing an energy on the spectrum."""
     import numpy as np
 
-    system = analytic_eigensystem(spec)
-    gaps = energy - system.eigenvalues
-    nearest = float(np.min(np.abs(gaps)))
-    if nearest < 1e-9:
-        raise EnergyAtPole(
-            f"E={energy} within 1e-9 of an eigenvalue (gap {nearest:.3e})")
-    return system.eigenvectors, gaps
+    modes = analytic_eigensystem(spec).eigenvectors
+    return modes, np.array(_gaps(spec, energy))
 
 
 def spectral_resolvent_entry(spec: ChainSpec, r: int, s: int, energy: float) -> float:
     """Principal-value resolvent entry sum_k C_rk C_sk / (E - eps_k).
 
     Defined for uniform couplings and E away from the spectrum; at E = 0
-    this equals the zero-energy Green's function entry G(r, s).  The sum
-    is O(N), but the eigensystem behind it costs O(N^2).
+    this equals the zero-energy Green's function entry G(r, s).  O(N) in
+    plain Python: rows r and s of the eigenbasis, the N gaps, and numpy's
+    pairwise summation order, so the value is bit for bit its entry of
+    `spectral_resolvent_matrix`.  It keeps that route's N^2 memory guard,
+    so both refuse the same sizes.
     """
-    import numpy as np
-
     _require_uniform(spec)
     spec.check_site(r)
     spec.check_site(s)
-    modes, gaps = _modes_and_gaps(spec, energy)
-    return float(np.sum(modes[r - 1] * modes[s - 1] / gaps))
+    _require_eigenbasis(spec)
+    gaps = _gaps(spec, energy)
+    return _pairwise_sum([a * b / g for a, b, g
+                          in zip(_mode_row(spec, r), _mode_row(spec, s), gaps)])
 
 
 def spectral_resolvent_matrix(spec: ChainSpec, energy: float) -> np.ndarray:
     """Every entry of `spectral_resolvent_entry`, from one eigensystem.
 
-    O(N^3): each row is one N x N product summed along the modes, in the
-    same order as the entry's sum, so the two agree bit for bit.
+    O(N^3): each row is one N x N product summed along the modes by
+    numpy's pairwise sum, the order the entry repeats, so the two agree
+    bit for bit.
     """
     import numpy as np
 

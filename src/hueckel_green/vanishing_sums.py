@@ -115,7 +115,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 def _divisible_by_cyclotomic(m: int, coeffs: tuple[int, ...]) -> bool:
     phi = cyclotomic_polynomial(m)
-    work = _poly_trim(list(coeffs))
+    work = list(coeffs)
+    if m % 2 == 0:
+        # Phi_m divides x^(m/2) + 1: reduce by x^(m/2) = -1 first, which
+        # halves a 2n-th-root cosine sum before the long division
+        half = m // 2
+        for i in range(len(work) - 1, half - 1, -1):
+            work[i - half] -= work[i]
+        del work[half:]
+    work = _poly_trim(work)
     deg_phi = len(phi) - 1
     for i in range(len(work) - 1 - deg_phi, -1, -1):
         coef = work[i + deg_phi]

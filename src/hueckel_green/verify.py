@@ -203,6 +203,14 @@ def suite_alternating(max_n: int, rng: random.Random) -> list[dict]:
     ]
 
 
+def _d2_zero_count(n: int) -> int:
+    """Zeros of 2 cos(a pi/(n+1)) + 2 cos(b pi/(n+1)) over a, b = 1..n,
+    the d=2 lattice spectrum, decided exactly; a pair a < b counts twice."""
+    return sum(1 if a == b else 2
+               for a in range(1, n + 1) for b in range(a, n + 1)
+               if cosine_sum_is_zero_exact(n + 1, (a, b)))
+
+
 def suite_lattice(max_n: int, rng: random.Random) -> list[dict]:
     import numpy as np
 
@@ -213,9 +221,7 @@ def suite_lattice(max_n: int, rng: random.Random) -> list[dict]:
             analytic = np.sort(lattice_spectrum(spec).ravel())
             numeric = symmetric_eigenvalues(build_lattice_hamiltonian(spec).to_float())
             spectrum = max(spectrum, float(np.max(np.abs(analytic - numeric))))
-    zeros_ok = all(
-        int(np.sum(np.abs(lattice_spectrum(LatticeSpec(2, n))) < 1e-9)) == n
-        for n in range(1, min(max_n, 30) + 1))
+    zeros_ok = all(_d2_zero_count(n) == n for n in range(1, min(max_n, 30) + 1))
     residual = 0.0
     for d, n in ((3, 2), (3, 4), (1, max(2, min(max_n, 20) // 2 * 2))):
         spec = LatticeSpec(d, n)

@@ -165,6 +165,53 @@ def einsum_lattice_green_matrix(spec):
     return x.transpose(order).reshape(spec.total_sites, spec.total_sites)
 
 
+def long_division_divisible(m: int, coeffs) -> bool:
+    """Is the integer polynomial ``coeffs`` (constant term first) divisible
+    by Phi_m?  Plain long division from the top degree, with no reduction
+    by x^(m/2) + 1 first."""
+    from hueckel_green.vanishing_sums import cyclotomic_polynomial
+
+    phi = cyclotomic_polynomial(m)
+    work = list(coeffs)
+    while work and work[-1] == 0:
+        work.pop()
+    deg_phi = len(phi) - 1
+    for i in range(len(work) - 1 - deg_phi, -1, -1):
+        coef = work[i + deg_phi]
+        if coef:
+            for j, d in enumerate(phi):
+                work[i + j] -= coef * d
+    return not any(work)
+
+
+def vectorized_eigensystem(n: int, cyclic: bool):
+    """(eigenvalues, eigenvectors) of the uniform chain by numpy's ufuncs.
+
+    The package's analytic eigensystem as it was written before it became
+    one scalar row formula, kept verbatim as the reference for the rows.
+    """
+    import numpy as np
+
+    if not cyclic:
+        omega = math.pi / (n + 1)
+        r = np.arange(1, n + 1)
+        lam = 2.0 * np.cos(r * omega)
+        q = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(r, r) * omega)
+        return lam, q
+    omega = 2.0 * math.pi / n
+    j = np.arange(n)
+    lam = 2.0 * np.cos(omega * j)
+    q = np.empty((n, n))
+    pos = np.arange(n)
+    q[:, 0] = 1.0 / math.sqrt(n)
+    for m in range(1, (n - 1) // 2 + 1):
+        q[:, m] = math.sqrt(2.0 / n) * np.cos(omega * m * pos)
+        q[:, n - m] = math.sqrt(2.0 / n) * np.sin(omega * m * pos)
+    if n % 2 == 0:
+        q[:, n // 2] = np.where(pos % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+    return lam, q
+
+
 # Margin for float screening in the search.  True zeros accumulate at most
 # ~1e-13 of rounding over <= 7 terms, so nothing real is ever pruned; the
 # exact oracle has the final word on every candidate.

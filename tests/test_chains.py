@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from hueckel_green import (AlternatingOddN, ChainSpec, CycleTooSmall,
                            EnergyAtPole, ExactMatrix, GreenEntryQuery,
-                           IndexOutOfRange, Topology, UnsupportedCouplings,
-                           analytic_eigensystem, build_hamiltonian,
-                           green_matrix, green_open, spectral_resolvent_entry,
-                           spectral_resolvent_matrix, transmission_proxy)
+                           IndexOutOfRange, TooLarge, Topology,
+                           UnsupportedCouplings, analytic_eigensystem,
+                           build_hamiltonian, green_matrix, green_open,
+                           spectral_resolvent_entry, spectral_resolvent_matrix,
+                           transmission_proxy)
+from hueckel_green.chains import _pairwise_sum
 
-from oracles import cofactor_inverse
+from oracles import cofactor_inverse, vectorized_eigensystem
 
 
 def test_build_open_three_sites():
@@ -102,6 +104,16 @@ def test_eigensystem_residual_and_norms(topology, n):
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("topology", [Topology.OPEN, Topology.CYCLIC])
+def test_eigensystem_rows_equal_the_vectorized_formula(topology):
+    cyclic = topology is Topology.CYCLIC
+    for n in (*range(3 if cyclic else 1, 41), 127, 128, 129, 130, 257, 400):
+        system = analytic_eigensystem(ChainSpec(topology, n))
+        lam, q = vectorized_eigensystem(n, cyclic)
+        assert np.array_equal(system.eigenvalues, lam), n
+        assert np.array_equal(system.eigenvectors, q), n
+
+
 @settings(max_examples=60)
 @given(n=st.integers(1, 500))
 def test_open_eigenvalue_pairing(n):
@@ -127,13 +139,40 @@ def test_resolvent_two_sites_diagonal_cancels():
 
 
 def test_resolvent_pole_for_odd_chain():
-    with pytest.raises(EnergyAtPole):
+    with pytest.raises(EnergyAtPole) as err:
         spectral_resolvent_entry(ChainSpec(Topology.OPEN, 3), 1, 2, 0.0)
+    assert str(err.value) == (
+        "E=0.0 within 1e-9 of an eigenvalue (gap 1.225e-16)")
 
 
 def test_resolvent_pole_near_eigenvalue():
-    with pytest.raises(EnergyAtPole):
+    with pytest.raises(EnergyAtPole) as err:
         spectral_resolvent_entry(ChainSpec(Topology.OPEN, 2), 1, 2, 1.0 + 5e-10)
+    assert str(err.value) == (
+        "E=1.0000000005 within 1e-9 of an eigenvalue (gap 5.000e-10)")
+
+
+GUARD = "1025x1025 matrix (1050625 cells) exceeds the memory guard (1048576)"
+
+
+@pytest.mark.parametrize("topology,n,r,s,energy,error,text", [
+    # the 2-site ring is refused before the pole at E = 2
+    (Topology.CYCLIC, 2, 1, 2, 2.0, CycleTooSmall,
+     "cyclic eigensystem needs N >= 3"),
+    (Topology.CYCLIC, 2, 3, 1, 2.0, IndexOutOfRange, "site 3 outside 1..2"),
+    (Topology.CYCLIC, 6, 1, 7, 1.0, IndexOutOfRange, "site 7 outside 1..6"),
+    # the N^2 guard comes before the pole (0 is an eigenvalue at odd N)
+    (Topology.OPEN, 1025, 1, 2, 0.0, TooLarge, GUARD),
+    (Topology.CYCLIC, 1025, 1, 1025, 0.37, TooLarge, GUARD),
+    (Topology.CYCLIC, 8, 1, 2, 0.0, EnergyAtPole,
+     "E=0.0 within 1e-9 of an eigenvalue (gap 1.225e-16)"),
+])
+def test_resolvent_entry_refusals_in_order(monkeypatch, topology, n, r, s,
+                                           energy, error, text):
+    monkeypatch.delenv("HUECKEL_MAX_CELLS", raising=False)
+    with pytest.raises(error) as err:
+        spectral_resolvent_entry(ChainSpec(topology, n), r, s, energy)
+    assert str(err.value) == text
 
 
 @pytest.mark.parametrize("n", [2, 6, 20, 50, 200])
@@ -165,14 +204,31 @@ def test_resolvent_away_from_zero_matches_dense_resolvent():
     (Topology.OPEN, 6, 0.0), (Topology.OPEN, 35, 0.37), (Topology.OPEN, 90, 0.0),
     (Topology.CYCLIC, 3, 0.0), (Topology.CYCLIC, 5, 0.37),
     (Topology.CYCLIC, 35, 0.0), (Topology.CYCLIC, 42, 0.0),
+    # past numpy's 128-term pairwise block, where the sum splits in two
+    (Topology.OPEN, 130, 0.0), (Topology.OPEN, 300, 0.37),
+    (Topology.OPEN, 400, 0.0), (Topology.CYCLIC, 129, 0.0),
+    (Topology.CYCLIC, 250, 0.37), (Topology.CYCLIC, 257, 0.0),
 ])
 def test_resolvent_matrix_is_entrywise_bit_for_bit(topology, n, energy):
     spec = ChainSpec(topology, n)
+    # every row up to 128 sites; past that, whole rows at the ends and middle
+    rows = (range(1, n + 1) if n <= 128
+            else sorted({1, 2, n // 3, n // 2, n - 1, n}))
     entrywise = np.array([[spectral_resolvent_entry(spec, r, s, energy)
-                           for s in range(1, n + 1)] for r in range(1, n + 1)])
+                           for s in range(1, n + 1)] for r in rows])
     matrix = spectral_resolvent_matrix(spec, energy)
     assert matrix.shape == (n, n)
-    assert np.array_equal(matrix, entrywise)
+    assert np.array_equal(matrix[[r - 1 for r in rows]], entrywise)
+
+
+def test_pairwise_sum_is_numpys_sum():
+    # numpy's own reduction is the oracle; magnitudes spread over ten
+    # decades so that a different association shows in the last bits
+    rng = np.random.default_rng(20)
+    for n in range(1, 1101):
+        terms = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+        assert _pairwise_sum(terms.tolist()) == np.sum(terms), n
+    assert str(_pairwise_sum([-0.0] * 9)) == str(np.sum([-0.0] * 9)) == "0.0"
 
 
 def test_resolvent_matrix_rejects_pole_and_couplings():
@@ -181,6 +237,8 @@ def test_resolvent_matrix_rejects_pole_and_couplings():
     with pytest.raises(UnsupportedCouplings):
         spectral_resolvent_matrix(
             ChainSpec(Topology.OPEN, 4, coupling_odd=2, coupling_even=1), 0.0)
+    with pytest.raises(CycleTooSmall, match="cyclic eigensystem needs N >= 3"):
+        spectral_resolvent_matrix(ChainSpec(Topology.CYCLIC, 2), 2.0)
 
 
 def test_transmission_from_closed_form_matrix():

@@ -1,5 +1,5 @@
-"""Process start: exact requests and the float LU never import numpy; the
-eigenvalue routes do.
+"""Process start: exact requests, the float LU and spectral entries never
+import numpy; the eigenvalue and array routes do.
 
 Each case runs in a fresh interpreter, so `sys.modules` shows exactly what
 the package import and one `cli.main` call loaded.
@@ -80,11 +80,15 @@ EXACT_ROUTES = {
                              "--transmission"), 0),
     "green_numeric_ring": (("green", *CYCLIC, "--beta", "2", "--alpha", "1/3",
                             "--method", "numeric", "--format", "json"), 0),
+    "green_spectral_entry": (("green", *OPEN, "--method", "spectral",
+                              "--r", "4", "--s", "1"), 0),
+    "green_spectral_ring_entry": (("green", "--topology", "cyclic", "--n", "7",
+                                   "--method", "spectral", "--r", "2",
+                                   "--s", "6", "--transmission"), 0),
 }
 
 FLOAT_ROUTES = {
-    "green_spectral_entry": (("green", *OPEN, "--method", "spectral",
-                              "--r", "4", "--s", "1"), 0),
+    "green_spectral_matrix": (("green", *CYCLIC, "--method", "spectral"), 0),
     "verify_open": (("verify", "--suite", "open", "--max-n", "6"), 0),
 }
 

@@ -14,7 +14,7 @@ from hueckel_green import (BudgetExhausted, CosineWitness, CyclotomicElement,
                            is_invertible, roots_of_unity_sum_is_zero,
                            smallest_prime_divisor, symmetric_eigenvalues,
                            vanishing_sums)
-from oracles import float_pruned_witness
+from oracles import float_pruned_witness, long_division_divisible
 
 
 def test_cosine_zero_examples():
@@ -107,6 +107,24 @@ def test_cyclotomic_element_zero_test():
     elem = CyclotomicElement(3, (1, 1, 1))
     assert elem.is_zero()
     assert not CyclotomicElement(3, (1, 1, 0)).is_zero()
+
+
+def test_cyclotomic_divisibility_equals_long_division():
+    # lengths below, at and past m, as the circulant symbol test uses them;
+    # the products with Phi_m are divisible by construction
+    rng = np.random.default_rng(11)
+    for m in range(1, 61):
+        phi = np.array(cyclotomic_polynomial(m))
+        for length in (max(1, m // 2), m, 2 * m, 3 * m + 1):
+            for _ in range(4):
+                coeffs = tuple(int(c) for c in rng.integers(-2, 3, length))
+                assert vanishing_sums._divisible_by_cyclotomic(m, coeffs) \
+                    == long_division_divisible(m, coeffs), (m, coeffs)
+            if length >= len(phi):
+                cofactor = rng.integers(-3, 4, length - len(phi) + 1)
+                product = tuple(int(c) for c in np.convolve(phi, cofactor))
+                assert vanishing_sums._divisible_by_cyclotomic(m, product)
+                assert long_division_divisible(m, product)
 
 
 @settings(max_examples=60, deadline=None)

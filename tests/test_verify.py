@@ -179,3 +179,21 @@ def test_rank_agreement_takes_no_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(verify, "symmetric_eigenvalues", refused)
     assert report("numbertheory", 9)["numbertheory.matrix_rank_agreement"]
+
+
+def test_d2_zero_count_reads_no_float_spectrum(monkeypatch):
+    # Regression: the count was |lambda| < 1e-9 on the float spectrum, so a
+    # rounding error that moved a nonzero eigenvalue below 1e-9 failed it.
+    real = verify.lattice_spectrum
+
+    def one_more_near_zero(spec):
+        values = real(spec)
+        if spec.dim == 2 and spec.linear_size == 7:
+            flat = values.reshape(-1)
+            flat[abs(flat).argmax()] = 5e-10
+        return values
+
+    monkeypatch.setattr(verify, "lattice_spectrum", one_more_near_zero)
+    checks = report("lattice", 10)
+    assert checks["lattice.d2_zero_count"]
+    assert all(checks.values())

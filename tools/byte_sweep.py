@@ -35,8 +35,13 @@ json`.  Last, the
 numeric shapes of the benchmark: `green --method numeric` entries on open
 chains with N = 100, 300 and 394 under the first grid's couplings, at the
 corner sites (1, 1), (1, N), (N, 1) and the interior ones (N/2, N/2 + 1),
-(N/3, N - 4), with and without `--transmission`; and numeric ring matrices
-with N = 290-310 and (beta, alpha) = (1, 1) and (2, 1/3).
+(N/3, N - 4), with and without `--transmission`; numeric ring matrices
+with N = 290-310 and (beta, alpha) = (1, 1) and (2, 1/3); and the spectral
+entries, on uniform open chains with N = 100, 128, 129, 130, 300, 396 and
+400 and rings with N = 129, 250, 255, 257 and 398, at the sites (1, 1),
+(1, N), (N/2, N/2 + 1) and (N/3, N - 4), with and without
+`--transmission`; and past the N^2 memory guard, the ring N = 1025 and
+the open chain N = 1026 (the open N = 1025 is singular, odd N, first).
 """
 
 from __future__ import annotations
@@ -79,6 +84,9 @@ SMALLEST_MAX_N = {"open": 2, "cyclic": 4, "alternating": 6, "lattice": 2,
 DOCUMENT_SIZES = (*range(1, 25), 60, 147, 150)
 NUMERIC_ENTRY_SIZES = (100, 300, 394)
 NUMERIC_RING_SIZES = range(290, 311)
+SPECTRAL_ENTRY_SIZES = {"open": (100, 128, 129, 130, 300, 396, 400, 1025,
+                                 1026),
+                        "cyclic": (129, 250, 255, 257, 398, 1025)}
 DOCUMENT_COUPLINGS = (("1", "1"), ("2", "-1/3"), ("0", "2/3"))
 
 
@@ -158,6 +166,12 @@ def grid() -> list[list[str]]:
             requests.append(["green", "--topology", "cyclic", "--n", str(n),
                              f"--beta={beta}", f"--alpha={alpha}",
                              "--method", "numeric"])
+    for topology, sizes in SPECTRAL_ENTRY_SIZES.items():
+        for n in sizes:
+            for r, s in ((1, 1), (1, n), (n // 2, n // 2 + 1), (n // 3, n - 4)):
+                entry = ["green", "--topology", topology, "--n", str(n),
+                         "--method", "spectral", "--r", str(r), "--s", str(s)]
+                requests.extend([entry, entry + ["--transmission"]])
     return requests
 
 
