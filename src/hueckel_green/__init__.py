@@ -9,9 +9,10 @@ spectral sums -- and decides existence in d dimensions with an exact
 number-theoretic predicate backed by a cyclotomic-integer oracle.
 
 numpy is imported inside the eigenvalue and array routines only, so the
-exact routes, the float LU and single spectral entries (an O(N) sum over
-two rows of the analytic eigenbasis), and the command-line requests built
-on them, never pay its import.
+exact routes, the float LU, single spectral entries (an O(N) sum over two
+rows of the analytic eigenbasis) and spectral matrices up to 128 sites (the
+same sum over every pair of rows), and the command-line requests built on
+them, never pay its import.
 """
 
 from .chains import (ChainSpec, EigenSystem, Topology, analytic_eigensystem,

@@ -102,14 +102,10 @@ def matrix_document(rows: list[list], fmt: Format,
 
 
 def matrix_rows(m) -> list[list]:
-    """Rows of an exact matrix, float rows as they are, or an array's rows."""
+    """Rows of an exact matrix, or float rows as they are."""
     if isinstance(m, ExactMatrix):
         return m.to_lists()
-    if isinstance(m, list):
-        return m
-    import numpy as np
-
-    return np.asarray(m, dtype=float).tolist()
+    return m
 
 
 def scalar_document(value, fmt: Format) -> OutputDocument:

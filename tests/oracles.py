@@ -212,6 +212,22 @@ def vectorized_eigensystem(n: int, cyclic: bool):
     return lam, q
 
 
+def numpy_resolvent_matrix(spec, energy: float):
+    """The spectral resolvent matrix by numpy's broadcast over the modes.
+
+    The package's matrix route as it was written before it summed in plain
+    Python, kept verbatim as the reference that the list-of-rows matrix must
+    equal bit for bit: one N x N product per row, summed along the modes.
+    """
+    import numpy as np
+
+    from hueckel_green.chains import _gaps, analytic_eigensystem
+
+    modes = analytic_eigensystem(spec).eigenvectors
+    gaps = np.array(_gaps(spec, energy))
+    return np.array([((row * modes) / gaps).sum(axis=1) for row in modes])
+
+
 # Margin for float screening in the search.  True zeros accumulate at most
 # ~1e-13 of rounding over <= 7 terms, so nothing real is ever pruned; the
 # exact oracle has the final word on every candidate.

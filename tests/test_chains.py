@@ -1,5 +1,6 @@
 """Builders, analytic eigensystems and the spectral resolvent."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from hueckel_green import (AlternatingOddN, ChainSpec, CycleTooSmall,
                            transmission_proxy)
 from hueckel_green.chains import _pairwise_sum
 
-from oracles import cofactor_inverse, vectorized_eigensystem
+from oracles import (cofactor_inverse, numpy_resolvent_matrix,
+                     vectorized_eigensystem)
 
 
 def test_build_open_three_sites():
@@ -199,6 +201,10 @@ def test_resolvent_away_from_zero_matches_dense_resolvent():
             dense[r - 1, s - 1], abs=1e-10)
 
 
+def _hex_rows(m) -> list[list[str]]:
+    return [[float(v).hex() for v in row] for row in m]
+
+
 @pytest.mark.parametrize("topology,n,energy", [
     (Topology.OPEN, 1, 0.3), (Topology.OPEN, 2, 0.0), (Topology.OPEN, 3, 0.37),
     (Topology.OPEN, 6, 0.0), (Topology.OPEN, 35, 0.37), (Topology.OPEN, 90, 0.0),
@@ -211,14 +217,33 @@ def test_resolvent_away_from_zero_matches_dense_resolvent():
 ])
 def test_resolvent_matrix_is_entrywise_bit_for_bit(topology, n, energy):
     spec = ChainSpec(topology, n)
-    # every row up to 128 sites; past that, whole rows at the ends and middle
-    rows = (range(1, n + 1) if n <= 128
-            else sorted({1, 2, n // 3, n // 2, n - 1, n}))
-    entrywise = np.array([[spectral_resolvent_entry(spec, r, s, energy)
-                           for s in range(1, n + 1)] for r in rows])
-    matrix = spectral_resolvent_matrix(spec, energy)
+    matrix = np.asarray(spectral_resolvent_matrix(spec, energy))
     assert matrix.shape == (n, n)
-    assert np.array_equal(matrix[[r - 1 for r in rows]], entrywise)
+    assert _hex_rows(matrix) == _hex_rows(numpy_resolvent_matrix(spec, energy))
+    # whole rows at the ends and in the middle, entry by entry
+    rows = sorted({1, n // 3 or 1, n // 2 or 1, n})
+    entrywise = [[spectral_resolvent_entry(spec, r, s, energy)
+                  for s in range(1, n + 1)] for r in rows]
+    assert _hex_rows(matrix[[r - 1 for r in rows]]) == _hex_rows(entrywise)
+
+
+@pytest.mark.parametrize("energy", [0.0, 0.37, -1.3])
+@pytest.mark.parametrize("topology", [Topology.OPEN, Topology.CYCLIC])
+def test_resolvent_matrix_is_numpys_broadcast_up_to_130_sites(topology,
+                                                              energy):
+    # both sides of the 128-site switch to numpy; a pole or a 2-site ring
+    # must be refused alike, with the same message
+    for n in range(1, 131):
+        try:
+            expected = _hex_rows(numpy_resolvent_matrix(ChainSpec(topology, n),
+                                                        energy))
+        except (EnergyAtPole, CycleTooSmall) as err:
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                spectral_resolvent_matrix(ChainSpec(topology, n), energy)
+            continue
+        matrix = spectral_resolvent_matrix(ChainSpec(topology, n), energy)
+        assert all(type(v) is float for row in matrix for v in row), n
+        assert _hex_rows(matrix) == expected, n
 
 
 def test_pairwise_sum_is_numpys_sum():

@@ -233,15 +233,16 @@ def test_usmani_point_query_errors(args, code, stderr):
 def test_spectral_matrix_one_eigensystem_bit_for_bit(monkeypatch, topology, n):
     from hueckel_green import chains
     calls = []
-    original = chains.analytic_eigensystem
+    original = chains._mode_row
 
-    def counting(spec):
-        calls.append(spec)
-        return original(spec)
-    monkeypatch.setattr(chains, "analytic_eigensystem", counting)
+    def counting(spec, r):
+        calls.append(r)
+        return original(spec, r)
+    monkeypatch.setattr(chains, "_mode_row", counting)
     code, out, _ = run_in_process("green", "--topology", topology, "--n",
                                   str(n), "--method", "spectral")
-    assert (code, len(calls)) == (0, 1)
+    # each row of the eigenbasis is built once
+    assert (code, sorted(calls)) == (0, list(range(1, n + 1)))
     spec = chains.ChainSpec(chains.Topology(topology), n)
     for r, line in enumerate(out.splitlines(), start=1):
         assert [float(cell) for cell in line.split(",")] == [

@@ -105,7 +105,7 @@ def test_csv_refuses_huge_matrices():
 
 def test_float_matrix_rows_are_python_floats_of_each_entry():
     spec = ChainSpec(Topology.OPEN, 8)
-    for m in (-np.asarray(lu_inverse(build_hamiltonian(spec).to_float())),
+    for m in (lu_inverse(build_hamiltonian(spec).to_float()),
               spectral_resolvent_matrix(spec, 0.0)):
         rows = matrix_rows(m)
         assert all(type(v) is float for row in rows for v in row)

@@ -1,5 +1,6 @@
-"""Process start: exact requests, the float LU and spectral entries never
-import numpy; the eigenvalue and array routes do.
+"""Process start: exact requests, the float LU, spectral entries and
+spectral matrices up to 128 sites never import numpy; the eigenvalue and
+array routes do, and so do spectral matrices above 128 sites.
 
 Each case runs in a fresh interpreter, so `sys.modules` shows exactly what
 the package import and one `cli.main` call loaded.
@@ -85,10 +86,16 @@ EXACT_ROUTES = {
     "green_spectral_ring_entry": (("green", "--topology", "cyclic", "--n", "7",
                                    "--method", "spectral", "--r", "2",
                                    "--s", "6", "--transmission"), 0),
+    "green_spectral_matrix": (("green", *CYCLIC, "--method", "spectral"), 0),
+    "green_spectral_ring_matrix_json": (("green", "--topology", "cyclic",
+                                         "--n", "38", "--method", "spectral",
+                                         "--format", "json"), 0),
 }
 
 FLOAT_ROUTES = {
-    "green_spectral_matrix": (("green", *CYCLIC, "--method", "spectral"), 0),
+    "green_spectral_matrix_large": (("green", "--topology", "open", "--n",
+                                     "130", "--method", "spectral",
+                                     "--format", "json"), 0),
     "verify_open": (("verify", "--suite", "open", "--max-n", "6"), 0),
 }
 

@@ -42,6 +42,11 @@ entries, on uniform open chains with N = 100, 128, 129, 130, 300, 396 and
 (1, N), (N/2, N/2 + 1) and (N/3, N - 4), with and without
 `--transmission`; and past the N^2 memory guard, the ring N = 1025 and
 the open chain N = 1026 (the open N = 1025 is singular, odd N, first).
+Last of all, the spectral matrices on both sides of the 128 sites up to
+which they are summed without numpy: `green --method spectral` on uniform
+open chains with N = 86-94 and 124-132 and rings with N = 31-39 and
+125-131 (the ring sizes 4k exit 4), in CSV and JSON, with and without
+`--transmission`.
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ SPECTRAL_ENTRY_SIZES = {"open": (100, 128, 129, 130, 300, 396, 400, 1025,
                                  1026),
                         "cyclic": (129, 250, 255, 257, 398, 1025)}
 DOCUMENT_COUPLINGS = (("1", "1"), ("2", "-1/3"), ("0", "2/3"))
+SPECTRAL_MATRIX_SIZES = {"open": (*range(86, 95), *range(124, 133)),
+                         "cyclic": (*range(31, 40), *range(125, 132))}
 
 
 def grid() -> list[list[str]]:
@@ -172,6 +179,12 @@ def grid() -> list[list[str]]:
                 entry = ["green", "--topology", topology, "--n", str(n),
                          "--method", "spectral", "--r", str(r), "--s", str(s)]
                 requests.extend([entry, entry + ["--transmission"]])
+    for topology, sizes in SPECTRAL_MATRIX_SIZES.items():
+        for n in sizes:
+            for fmt in ("csv", "json"):
+                matrix = ["green", "--topology", topology, "--n", str(n),
+                          "--method", "spectral", "--format", fmt]
+                requests.extend([matrix, matrix + ["--transmission"]])
     return requests
 
 
