@@ -205,7 +205,7 @@ def _hex_rows(m) -> list[list[str]]:
     return [[float(v).hex() for v in row] for row in m]
 
 
-@pytest.mark.parametrize("topology,n,energy", [
+_MATRIX_CASES = [
     (Topology.OPEN, 1, 0.3), (Topology.OPEN, 2, 0.0), (Topology.OPEN, 3, 0.37),
     (Topology.OPEN, 6, 0.0), (Topology.OPEN, 35, 0.37), (Topology.OPEN, 90, 0.0),
     (Topology.CYCLIC, 3, 0.0), (Topology.CYCLIC, 5, 0.37),
@@ -214,36 +214,42 @@ def _hex_rows(m) -> list[list[str]]:
     (Topology.OPEN, 130, 0.0), (Topology.OPEN, 300, 0.37),
     (Topology.OPEN, 400, 0.0), (Topology.CYCLIC, 129, 0.0),
     (Topology.CYCLIC, 250, 0.37), (Topology.CYCLIC, 257, 0.0),
-])
+]
+# every pairwise-sum remainder below and inside the first 8-way block, the
+# 2-site ring and the small poles; then both sides of the 128-site switch,
+# at a pole where N has one (a 1-site ring is no chain at all)
+_MATRIX_CASES += [
+    (topology, n, energy)
+    for topology in (Topology.OPEN, Topology.CYCLIC)
+    for n, energies in ([(n, (0.0, 0.37, -1.3)) for n in range(1, 18)]
+                        + [(n, (0.0, 0.37)) for n in range(127, 131)])
+    for energy in energies
+    if (topology, n, energy) not in _MATRIX_CASES
+    and (topology, n) != (Topology.CYCLIC, 1)
+]
+
+
+@pytest.mark.parametrize("topology,n,energy", _MATRIX_CASES)
 def test_resolvent_matrix_is_entrywise_bit_for_bit(topology, n, energy):
     spec = ChainSpec(topology, n)
-    matrix = np.asarray(spectral_resolvent_matrix(spec, energy))
+    try:
+        expected = _hex_rows(numpy_resolvent_matrix(spec, energy))
+    except (EnergyAtPole, CycleTooSmall) as err:
+        # a pole or a 2-site ring is refused alike, with the same message
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            spectral_resolvent_matrix(spec, energy)
+        return
+    matrix = spectral_resolvent_matrix(spec, energy)
+    assert all(type(v) is float for row in matrix for v in row)
+    matrix = np.asarray(matrix)
     assert matrix.shape == (n, n)
-    assert _hex_rows(matrix) == _hex_rows(numpy_resolvent_matrix(spec, energy))
-    # whole rows at the ends and in the middle, entry by entry
-    rows = sorted({1, n // 3 or 1, n // 2 or 1, n})
+    assert _hex_rows(matrix) == expected
+    # every row up to 128 sites; past that, whole rows at the ends and middle
+    rows = (range(1, n + 1) if n <= 128
+            else sorted({1, 2, n // 3, n // 2, n - 1, n}))
     entrywise = [[spectral_resolvent_entry(spec, r, s, energy)
                   for s in range(1, n + 1)] for r in rows]
     assert _hex_rows(matrix[[r - 1 for r in rows]]) == _hex_rows(entrywise)
-
-
-@pytest.mark.parametrize("energy", [0.0, 0.37, -1.3])
-@pytest.mark.parametrize("topology", [Topology.OPEN, Topology.CYCLIC])
-def test_resolvent_matrix_is_numpys_broadcast_up_to_130_sites(topology,
-                                                              energy):
-    # both sides of the 128-site switch to numpy; a pole or a 2-site ring
-    # must be refused alike, with the same message
-    for n in range(1, 131):
-        try:
-            expected = _hex_rows(numpy_resolvent_matrix(ChainSpec(topology, n),
-                                                        energy))
-        except (EnergyAtPole, CycleTooSmall) as err:
-            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
-                spectral_resolvent_matrix(ChainSpec(topology, n), energy)
-            continue
-        matrix = spectral_resolvent_matrix(ChainSpec(topology, n), energy)
-        assert all(type(v) is float for row in matrix for v in row), n
-        assert _hex_rows(matrix) == expected, n
 
 
 def test_pairwise_sum_is_numpys_sum():
