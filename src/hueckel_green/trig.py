@@ -2,20 +2,20 @@
 closed forms it reduces to.
 
 This module is the independent verification path for the chain results:
-it never touches a matrix.  Float evaluation uses compensated (Kahan)
-summation, and angles are reduced with exact integer arithmetic before
-calling sin/cos, so the stated tolerances stay honest up to N = 200.
+it never builds a Hamiltonian and never imports numpy.  A single entry of
+the direct sum and the pairing residual use compensated (Kahan) summation;
+the bulk `direct_green_matrix` rounds each entry's sum once (`math.fsum`).
+Angles are reduced with exact integer arithmetic before calling sin/cos,
+so the stated tolerances stay honest up to N = 200.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from operator import mul, truediv
+from typing import Iterable
 
 from .errors import DegenerateAngle, IndexOutOfRange, NearSingularAngle, SingularMatrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def kahan_sum(values: Iterable[float]) -> float:
@@ -53,21 +53,28 @@ def direct_green_sum(n: int, r: int, s: int) -> float:
     return -kahan_sum(terms) / np1
 
 
-def direct_green_matrix(n: int) -> np.ndarray:
-    """All entries of the direct sum at once (vectorized bulk variant).
+def direct_green_matrix(n: int) -> list[list[float]]:
+    """Every entry of `direct_green_sum`, as rows of floats, in O(N^3).
 
-    Same quantity as `direct_green_sum` for every (r, s); used where a full
-    sweep over pairs would make the per-entry loop the bottleneck.
+    The same sum over k, from one table of sines sin(r k w) built once,
+    with each term taken as (sin(r k w) / cos(k w)) * sin(s k w) and the
+    terms of each entry added exactly rounded (`math.fsum`) rather than
+    compensated.  Only the upper triangle is summed; each value is
+    mirrored below the diagonal.
     """
-    import numpy as np
-
     if n % 2:
         raise SingularMatrix("N odd", n=n)
     np1 = n + 1
-    idx = np.arange(1, n + 1)
-    table = np.sin(np.pi * (np.outer(idx, idx) % (2 * np1)) / np1)  # sin(rkw)
-    inv_cos = 1.0 / np.cos(np.pi * idx / np1)
-    return -(table * inv_cos) @ table.T / np1
+    omega = math.pi / np1
+    ks = range(1, n + 1)
+    table = [[_sin_pi_ratio(r * k, np1) for k in ks] for r in ks]
+    cosines = [math.cos(k * omega) for k in ks]
+    g = [[0.0] * n for _ in ks]
+    for i, row in enumerate(table):
+        scaled = list(map(truediv, row, cosines))
+        for j in range(i, n):
+            g[i][j] = g[j][i] = -math.fsum(map(mul, scaled, table[j])) / np1
+    return g
 
 
 def sum_cos(nprime: int, theta: float) -> float:

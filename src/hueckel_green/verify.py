@@ -6,28 +6,39 @@ residual.  The inverse checks (`open.identity`, `cyclic.identity` and
 `alternating.*_vs_exact_inverse`) are exact certificates H·(-G) = I instead,
 computed in scaled integers over the nonzeros of H, so O(N^2) each.  They are
 as conclusive as a second inversion: for square H, H·X = I fixes X = H^-1.
+The float `lattice.*` checks are certificates too, built from the analytic
+tensor eigenpairs and the nonzeros of the built lattice Hamiltonian: H v =
+lambda v for every vector of an orthonormal basis fixes the whole spectrum,
+multiplicities included, and H·G = -I fixes G.
 Exact comparisons report 0.0 on success and 1.0 on any mismatch.  Checks
 run in a fixed order and all randomness flows from the seed, so reports are
-byte-reproducible.
+byte-reproducible.  No suite imports numpy, so no report depends on the
+BLAS build.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul, sub, truediv
+from typing import Iterator
 
 from . import closed_form, trig
-from .chains import ChainSpec, Topology, build_hamiltonian
+from .chains import (ChainSpec, Topology, _eigenvalues, _mode_row,
+                     build_hamiltonian, float_rows)
 from .circulant import (cyclic_inverse_first_column, cyclic_kernel_basis,
                         det_cyclic, symbol_factorization_inverse)
 from .closed_form import CYCLIC_PATTERNS, green_matrix
-from .errors import InvalidSize, SingularMatrix
+from .errors import InvalidSize, SingularLattice, SingularMatrix
 # inverse_exact stays bound although unused: perfbench/spans.py patches it here.
 from .exact import ExactMatrix, det_fraction_free, inverse_exact, mat_vec  # noqa: F401
-from .lattice import (LatticeSpec, build_lattice_hamiltonian,
-                      lattice_green_matrix, lattice_spectrum)
-from .oracle import lu_inverse, symmetric_eigenvalues
+# lattice_green_matrix stays bound although unused: perfbench/spans.py
+# patches it here.
+from .lattice import (LatticeSpec, build_lattice_hamiltonian,  # noqa: F401
+                      lattice_green_matrix)
+from .oracle import lu_inverse
 from .tridiagonal import TridiagonalSpec, usmani_inverse
 from .vanishing_sums import (InvertibilityQuery, cosine_sum_is_zero_exact,
                              find_vanishing_witness, is_invertible,
@@ -73,9 +84,18 @@ def _inverse_certificate(h: ExactMatrix, g: ExactMatrix) -> bool:
     return True
 
 
-def suite_open(max_n: int, rng: random.Random) -> list[dict]:
-    import numpy as np
+def _float_rows(m: ExactMatrix) -> list[list[float]]:
+    """float(x) of every entry, row by row: the values `to_float` stores,
+    converting only the nonzeros."""
+    return [[float(x) if x else 0.0 for x in m.row(i)] for i in range(m.rows)]
 
+
+def _max_gap(a: list[list[float]], b: list[list[float]]) -> float:
+    """max |x - y| over the entries of two float matrices of one shape."""
+    return max(max(map(abs, map(sub, x, y))) for x, y in zip(a, b))
+
+
+def suite_open(max_n: int, rng: random.Random) -> list[dict]:
     sizes = range(2, max_n + 1, 2)
     vs_usmani = identity = entries = True
     vs_numeric = 0.0
@@ -87,11 +107,10 @@ def suite_open(max_n: int, rng: random.Random) -> list[dict]:
         vs_usmani &= usmani_inverse(-TridiagonalSpec.from_chain(spec)) == g
         identity &= _inverse_certificate(h, g)
         entries &= set(g._data) <= _ALLOWED_OPEN
-        gf = g.to_float()
-        vs_numeric = max(vs_numeric, float(np.max(np.abs(
-            -np.asarray(lu_inverse(h.to_float())) - gf))))
-        harmonic = max(harmonic, float(np.max(np.abs(
-            trig.direct_green_matrix(n) - gf))))
+        gf = _float_rows(g)
+        numeric = [[-x for x in row] for row in lu_inverse(float_rows(spec))]
+        vs_numeric = max(vs_numeric, _max_gap(numeric, gf))
+        harmonic = max(harmonic, _max_gap(trig.direct_green_matrix(n), gf))
     n = max(2, max_n - max_n % 2)
     semi = _semiseparable_upper(
         green_matrix(ChainSpec(Topology.OPEN, n)).scaled_rows()[0])
@@ -211,29 +230,105 @@ def _d2_zero_count(n: int) -> int:
                if cosine_sum_is_zero_exact(n + 1, (a, b)))
 
 
-def suite_lattice(max_n: int, rng: random.Random) -> list[dict]:
-    import numpy as np
+def _nonzeros(h: ExactMatrix) -> list[list[tuple[int, float]]]:
+    """Each row of h as (column, float value) pairs of its nonzeros."""
+    return [[(j, float(x)) for j, x in enumerate(h.row(i)) if x]
+            for i in range(h.rows)]
 
+
+def _chain_columns(n: int) -> tuple[list[float], list[tuple[float, ...]]]:
+    """The open N-site chain's eigenvalues and eigenvector columns, mode k
+    at index k - 1."""
+    spec = ChainSpec(Topology.OPEN, n)
+    rows = [_mode_row(spec, r) for r in range(1, n + 1)]
+    return _eigenvalues(spec), list(zip(*rows))
+
+
+def _lattice_modes(spec: LatticeSpec) -> Iterator[tuple[float, list[float]]]:
+    """Yield every eigenpair (lambda, v) of the lattice Hamiltonian.
+
+    Mode (k_1, ..., k_d) has lambda = eps_{k_1} + ... + eps_{k_d}, added
+    left to right, and v the tensor product of the chain's eigenvectors,
+    flattened with axis 1 slowest as the sites are.  Modes come in the
+    same order, k_1 slowest, one v at a time.
+    """
+    eps, columns = _chain_columns(spec.linear_size)
+    for ks in itertools.product(range(spec.linear_size), repeat=spec.dim):
+        lam, v = 0.0, [1.0]
+        for k in ks:
+            lam += eps[k]
+            v = [x * y for x in v for y in columns[k]]
+        yield lam, v
+
+
+def _eigenpair_residual(spec: LatticeSpec) -> float:
+    """max |H v - lambda v| over every eigenpair, H the built Hamiltonian."""
+    h = _nonzeros(build_lattice_hamiltonian(spec))
+    worst = 0.0
+    for lam, v in _lattice_modes(spec):
+        worst = max(worst, max(
+            abs(math.fsum([w * v[j] for j, w in row]) - lam * x)
+            for row, x in zip(h, v)))
+    return worst
+
+
+def _orthonormality_residual(n: int) -> float:
+    """max |Q^T Q - I| of the open chain's eigenvector matrix Q."""
+    _, columns = _chain_columns(n)
+    return max(abs(math.fsum(map(mul, a, b)) - (1.0 if k == l else 0.0))
+               for k, a in enumerate(columns) for l, b in enumerate(columns))
+
+
+def _lattice_green(spec: LatticeSpec) -> list[list[float]]:
+    """G = -V Lambda^-1 V^T from the `_lattice_modes`, as float rows.
+
+    Entry (a, b) is -sum over modes m of V[a][m] V[b][m] / lambda_m, the
+    products of row a and the weighted row b added exactly rounded
+    (`math.fsum`); the upper triangle is summed and mirrored.  Raises
+    SingularLattice, as `lattice_green_matrix` does, where the exact
+    predicate finds the Hamiltonian singular: no float decides that.
+    """
+    if not is_invertible(InvertibilityQuery(spec.dim, spec.linear_size + 1)):
+        raise SingularLattice(spec.dim, spec.linear_size + 1)
+    lams, modes = zip(*_lattice_modes(spec))
+    rows = list(zip(*modes))
+    weighted = [list(map(truediv, row, lams)) for row in rows]
+    sites = spec.total_sites
+    g = [[0.0] * sites for _ in range(sites)]
+    for a, row in enumerate(rows):
+        for b in range(a, sites):
+            g[a][b] = g[b][a] = -math.fsum(map(mul, row, weighted[b]))
+    return g
+
+
+def _identity_residual(spec: LatticeSpec, g: list[list[float]]) -> float:
+    """max |H G + I| over the nonzeros of the built Hamiltonian H."""
+    worst = 0.0
+    for i, row in enumerate(_nonzeros(build_lattice_hamiltonian(spec))):
+        acc = [0.0] * len(g)
+        acc[i] = 1.0
+        for j, w in row:
+            acc = [x + w * y for x, y in zip(acc, g[j])]
+        worst = max(worst, max(map(abs, acc)))
+    return worst
+
+
+def suite_lattice(max_n: int, rng: random.Random) -> list[dict]:
     spectrum = 0.0
-    for d in (1, 2, 3):
-        for n in range(2, min(max_n, 6) + 1):
-            spec = LatticeSpec(d, n)
-            analytic = np.sort(lattice_spectrum(spec).ravel())
-            numeric = symmetric_eigenvalues(build_lattice_hamiltonian(spec).to_float())
-            spectrum = max(spectrum, float(np.max(np.abs(analytic - numeric))))
+    for n in range(2, min(max_n, 6) + 1):
+        spectrum = max(spectrum, _orthonormality_residual(n))
+        for d in (1, 2, 3):
+            spectrum = max(spectrum, _eigenpair_residual(LatticeSpec(d, n)))
     zeros_ok = all(_d2_zero_count(n) == n for n in range(1, min(max_n, 30) + 1))
     residual = 0.0
     for d, n in ((3, 2), (3, 4), (1, max(2, min(max_n, 20) // 2 * 2))):
         spec = LatticeSpec(d, n)
-        h = build_lattice_hamiltonian(spec).to_float()
-        g = lattice_green_matrix(spec)
-        residual = max(residual, float(np.max(np.abs(
-            h @ g + np.eye(spec.total_sites)))))
+        residual = max(residual, _identity_residual(spec, _lattice_green(spec)))
     reduction = 0.0
     for n in range(2, min(max_n, 50) + 1, 2):
-        g1 = lattice_green_matrix(LatticeSpec(1, n))
-        gc = green_matrix(ChainSpec(Topology.OPEN, n)).to_float()
-        reduction = max(reduction, float(np.max(np.abs(g1 - gc))))
+        g1 = _lattice_green(LatticeSpec(1, n))
+        gc = _float_rows(green_matrix(ChainSpec(Topology.OPEN, n)))
+        reduction = max(reduction, _max_gap(g1, gc))
     return [
         _check("lattice.spectrum_vs_numeric", spectrum <= 1e-8, spectrum),
         _exact("lattice.d2_zero_count", zeros_ok),
@@ -281,8 +376,6 @@ def suite_numbertheory(max_n: int, rng: random.Random) -> list[dict]:
 
 
 def suite_trig(max_n: int, rng: random.Random) -> list[dict]:
-    import numpy as np
-
     grid_worst = 0.0
     thetas = [0.01 + (math.pi - 0.02) * i / 19 for i in range(20)]
     for nprime in range(1, 51):
@@ -304,9 +397,9 @@ def suite_trig(max_n: int, rng: random.Random) -> list[dict]:
             parity_worst = max(parity_worst, abs(trig.parity_zero_sum(n, q)))
     direct_worst = 0.0
     for n in range(2, max_n + 1, 2):
-        diff = np.abs(trig.direct_green_matrix(n)
-                      - green_matrix(ChainSpec(Topology.OPEN, n)).to_float())
-        direct_worst = max(direct_worst, float(np.max(diff)))
+        closed = _float_rows(green_matrix(ChainSpec(Topology.OPEN, n)))
+        direct_worst = max(direct_worst,
+                           _max_gap(trig.direct_green_matrix(n), closed))
     return [
         _check("trig.closed_sums", grid_worst <= 1e-11, grid_worst),
         _exact("trig.sine_ratio", ratio_ok),

@@ -76,7 +76,7 @@ def test_criterion_2_harmonic_sum_identity():
     # spot-check the compensated per-entry path against the bulk sweep
     from hueckel_green import direct_green_sum
     for n, r, s in ((2, 1, 2), (6, 2, 4), (6, 4, 1), (200, 117, 44)):
-        bulk = direct_green_matrix(n)[r - 1, s - 1]
+        bulk = direct_green_matrix(n)[r - 1][s - 1]
         worst = max(worst, abs(direct_green_sum(n, r, s) - bulk))
     report("2 (harmonic-sum identity)", worst <= 1e-9, f"worst residual {worst:.3e}")
 

@@ -1,6 +1,6 @@
-"""Process start: exact requests, the float LU, spectral entries and
-spectral matrices up to 128 sites never import numpy; the eigenvalue and
-array routes do, and so do spectral matrices above 128 sites.
+"""Process start: exact requests, the float LU, spectral entries,
+spectral matrices up to 128 sites and every verify suite never import
+numpy; spectral matrices above 128 sites do.
 
 Each case runs in a fresh interpreter, so `sys.modules` shows exactly what
 the package import and one `cli.main` call loaded.
@@ -75,6 +75,10 @@ EXACT_ROUTES = {
                             "--max-n", "6"), 0),
     "verify_numbertheory": (("verify", "--suite", "numbertheory",
                              "--max-n", "9"), 0),
+    "verify_open": (("verify", "--suite", "open", "--max-n", "6"), 0),
+    "verify_lattice": (("verify", "--suite", "lattice", "--max-n", "6"), 0),
+    "verify_trig": (("verify", "--suite", "trig", "--max-n", "6"), 0),
+    "verify_all": (("verify", "--suite", "all", "--max-n", "9"), 0),
     "green_numeric": (("green", *OPEN, "--method", "numeric"), 0),
     "green_numeric_entry": (("green", *OPEN, "--beta", "2", "--alpha", "1/3",
                              "--method", "numeric", "--r", "2", "--s", "5",
@@ -96,7 +100,6 @@ FLOAT_ROUTES = {
     "green_spectral_matrix_large": (("green", "--topology", "open", "--n",
                                      "130", "--method", "spectral",
                                      "--format", "json"), 0),
-    "verify_open": (("verify", "--suite", "open", "--max-n", "6"), 0),
 }
 
 

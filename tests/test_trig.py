@@ -44,7 +44,7 @@ def test_bulk_matrix_matches_entrywise(n):
     bulk = direct_green_matrix(n)
     for r in range(1, n + 1):
         for s in range(1, n + 1):
-            assert bulk[r - 1, s - 1] == pytest.approx(
+            assert bulk[r - 1][s - 1] == pytest.approx(
                 direct_green_sum(n, r, s), abs=1e-11)
 
 

@@ -1,14 +1,17 @@
-"""The verify suites' exact inverse certificate, and that its checks can fail."""
+"""The verify suites' certificates, exact and float, and that their checks
+can fail."""
 
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hueckel_green import cli, closed_form, verify
+from hueckel_green import cli, closed_form, lattice, verify
 from hueckel_green.chains import ChainSpec, Topology, build_hamiltonian
 from hueckel_green.circulant import CirculantSpec
-from hueckel_green.errors import SingularMatrix
+from hueckel_green.errors import SingularLattice, SingularMatrix
 from hueckel_green.exact import ExactMatrix, inverse_exact
 from hueckel_green.vanishing_sums import (InvertibilityQuery,
                                           find_vanishing_witness)
@@ -174,26 +177,119 @@ def test_cyclic_reduction_builds_one_kernel_per_ring(monkeypatch):
 
 
 def test_rank_agreement_takes_no_eigenvalues(monkeypatch):
-    def refused(m):
+    # Every float spectrum within reach: the library's, which imports numpy
+    # to compute it, and the analytic eigenpairs of the lattice checks.
+    def refused(spec):
         raise AssertionError("numbertheory asked for a float spectrum")
 
-    monkeypatch.setattr(verify, "symmetric_eigenvalues", refused)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(verify, "_lattice_modes", refused)
     assert report("numbertheory", 9)["numbertheory.matrix_rank_agreement"]
 
 
 def test_d2_zero_count_reads_no_float_spectrum(monkeypatch):
     # Regression: the count was |lambda| < 1e-9 on the float spectrum, so a
     # rounding error that moved a nonzero eigenvalue below 1e-9 failed it.
-    real = verify.lattice_spectrum
+    real_modes = verify._lattice_modes
+    real_spectrum = lattice.lattice_spectrum
 
     def one_more_near_zero(spec):
-        values = real(spec)
+        modes = list(real_modes(spec))
+        if spec.dim == 2 and spec.linear_size == 7:
+            worst = max(range(len(modes)), key=lambda m: abs(modes[m][0]))
+            modes[worst] = (5e-10, modes[worst][1])
+        return iter(modes)
+
+    def near_zero_spectrum(spec):
+        values = real_spectrum(spec)
         if spec.dim == 2 and spec.linear_size == 7:
             flat = values.reshape(-1)
             flat[abs(flat).argmax()] = 5e-10
         return values
 
-    monkeypatch.setattr(verify, "lattice_spectrum", one_more_near_zero)
+    monkeypatch.setattr(verify, "_lattice_modes", one_more_near_zero)
+    monkeypatch.setattr(lattice, "lattice_spectrum", near_zero_spectrum)
     checks = report("lattice", 10)
     assert checks["lattice.d2_zero_count"]
     assert all(checks.values())
+
+
+def lattice_report(monkeypatch, **patches):
+    for name, fn in patches.items():
+        monkeypatch.setattr(verify, name, fn)
+    return {c["id"]: c["passed"] for c in verify.run_suite("lattice", 10, 0)}
+
+
+def test_spectrum_check_fails_on_one_perturbed_eigenvalue(monkeypatch):
+    real = verify._lattice_modes
+
+    def perturbed(spec):
+        for m, (lam, v) in enumerate(real(spec)):
+            yield (lam + 1e-6 if (spec.dim, spec.linear_size, m) == (2, 3, 4)
+                   else lam), v
+
+    checks = lattice_report(monkeypatch, _lattice_modes=perturbed)
+    assert not checks["lattice.spectrum_vs_numeric"]
+
+
+def test_spectrum_check_fails_on_a_basis_that_is_not_orthonormal(monkeypatch):
+    # Stretched eigenvectors still satisfy H v = lambda v; only Q^T Q = I
+    # sees that they no longer form an orthonormal basis.
+    real = verify._chain_columns
+
+    def stretched(n):
+        eps, columns = real(n)
+        return eps, [tuple(x * (1 + 1e-6) for x in c) for c in columns]
+
+    checks = lattice_report(monkeypatch, _chain_columns=stretched)
+    assert not checks["lattice.spectrum_vs_numeric"]
+
+
+def test_lattice_checks_fail_on_one_dropped_bond(monkeypatch):
+    real = verify.build_lattice_hamiltonian
+
+    def dropped(spec):
+        rows = real(spec).to_lists()
+        if spec.total_sites > 1:
+            rows[0][1] = rows[1][0] = Fraction(0)
+        return ExactMatrix.from_rows(rows)
+
+    checks = lattice_report(monkeypatch, build_lattice_hamiltonian=dropped)
+    assert not checks["lattice.spectrum_vs_numeric"]
+    assert not checks["lattice.green_residual"]
+
+
+def test_green_residual_fails_on_a_wrong_weight_in_g(monkeypatch):
+    # One eigenvector scaled by 1 + 1e-6 is still an eigenvector, so the
+    # spectrum check passes, but its term in G carries the weight twice.
+    real = verify._lattice_modes
+
+    def rescaled(spec):
+        for m, (lam, v) in enumerate(real(spec)):
+            yield lam, [x * (1 + 1e-6) for x in v] if m == 1 else v
+
+    checks = lattice_report(monkeypatch, _lattice_modes=rescaled)
+    assert checks["lattice.spectrum_vs_numeric"]
+    assert not checks["lattice.green_residual"]
+    assert not checks["lattice.d1_reduction"]
+
+
+def test_lattice_green_asks_the_exact_predicate(monkeypatch, capsys):
+    # A singular answer ends the suite as the library's lattice Green's
+    # matrix ends it, before any float is summed.
+    monkeypatch.setattr(verify, "is_invertible", lambda query: False)
+    with pytest.raises(SingularLattice):
+        verify.run_suite("lattice", 10, 0)
+    assert cli_exit("lattice", capsys) == 4
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (3, 4), (1, 20)])
+def test_certificate_evaluations_match_the_library(d, n):
+    # The numpy library routes and the plain-Python evaluations the checks
+    # certify agree; LAPACK's eigvalsh is compared in test_lattice.
+    spec = lattice.LatticeSpec(d, n)
+    modes = [lam for lam, _ in verify._lattice_modes(spec)]
+    assert np.max(np.abs(lattice.lattice_spectrum(spec).ravel()
+                         - np.array(modes))) <= 1e-13
+    g = np.array(verify._lattice_green(spec))
+    assert np.max(np.abs(lattice.lattice_green_matrix(spec) - g)) <= 1e-13

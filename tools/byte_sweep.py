@@ -42,11 +42,17 @@ entries, on uniform open chains with N = 100, 128, 129, 130, 300, 396 and
 (1, N), (N/2, N/2 + 1) and (N/3, N - 4), with and without
 `--transmission`; and past the N^2 memory guard, the ring N = 1025 and
 the open chain N = 1026 (the open N = 1025 is singular, odd N, first).
-Last of all, the spectral matrices on both sides of the 128 sites up to
-which they are summed without numpy: `green --method spectral` on uniform
-open chains with N = 86-94 and 124-132 and rings with N = 31-39 and
-125-131 (the ring sizes 4k exit 4), in CSV and JSON, with and without
-`--transmission`.
+Then the spectral matrices on both sides of the 128 sites up to which
+they are summed without numpy: `green --method spectral` on uniform open
+chains with N = 86-94 and 124-132 and rings with N = 31-39 and 125-131
+(the ring sizes 4k exit 4), in CSV and JSON, with and without
+`--transmission`.  Last of all, the verify sizes of the benchmark:
+`--suite open` at `--max-n` 29-31, `lattice` at 22-26, `trig` at 43-47
+and `all` at 50.
+
+For a `verify` request that differs, the sweep also lists the report rows
+(check ids, and `all`) whose text differs, and says whether only their
+residual digits moved: the same ids, verdicts, exit code and stderr.
 """
 
 from __future__ import annotations
@@ -95,6 +101,8 @@ SPECTRAL_ENTRY_SIZES = {"open": (100, 128, 129, 130, 300, 396, 400, 1025,
 DOCUMENT_COUPLINGS = (("1", "1"), ("2", "-1/3"), ("0", "2/3"))
 SPECTRAL_MATRIX_SIZES = {"open": (*range(86, 95), *range(124, 133)),
                          "cyclic": (*range(31, 40), *range(125, 132))}
+BENCHMARK_VERIFY_SIZES = {"open": range(29, 32), "lattice": range(22, 27),
+                          "trig": range(43, 48), "all": (50,)}
 
 
 def grid() -> list[list[str]]:
@@ -185,11 +193,15 @@ def grid() -> list[list[str]]:
                 matrix = ["green", "--topology", topology, "--n", str(n),
                           "--method", "spectral", "--format", fmt]
                 requests.extend([matrix, matrix + ["--transmission"]])
+    for suite, sizes in BENCHMARK_VERIFY_SIZES.items():
+        for max_n in sizes:
+            requests.append(["verify", "--suite", suite, "--max-n", str(max_n)])
     return requests
 
 
 def run_one(main, argv: list[str]) -> list:
-    """[sha256 of stdout, first stderr line, exit code] of one request."""
+    """[sha256 of stdout, first stderr line, exit code] of one request, and
+    for `verify` its stdout too."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -200,7 +212,31 @@ def run_one(main, argv: list[str]) -> list:
             traceback.print_exc()
             code = 1
     first = err.getvalue().split("\n", 1)[0]
-    return [hashlib.sha256(out.getvalue().encode()).hexdigest(), first, code]
+    text = out.getvalue()
+    result = [hashlib.sha256(text.encode()).hexdigest(), first, code]
+    return result + [text] if argv[0] == "verify" else result
+
+
+def report_rows(text: str) -> list[tuple[str, str, str]]:
+    """(id, verdict, residual) of each row of a verify report, CSV or JSON,
+    the overall verdict last as the row `all`; numbers kept as printed."""
+    if not text.startswith("{"):
+        return [tuple(line.split(",")) for line in text.splitlines()]
+    doc = json.loads(text, parse_float=str)
+    rows = [(c["id"], str(c["passed"]), c["residual"]) for c in doc["checks"]]
+    return rows + [("all", str(doc["passed"]), "")]
+
+
+def report_difference(base: list, head: list) -> str:
+    """Which rows of two verify reports differ, and whether only residual
+    digits moved."""
+    b, h = report_rows(base[3]), report_rows(head[3])
+    moved = [x[0] for x, y in zip(b, h) if x != y]
+    same_verdicts = [x[:2] for x in b] == [y[:2] for y in h]
+    only_digits = same_verdicts and base[1:3] == head[1:3]
+    rows = ", ".join(moved) if len(b) == len(h) else "row count"
+    return (f"  rows {rows}: "
+            + ("residual digits only" if only_digits else "not only digits"))
 
 
 def worker(src: str) -> None:
@@ -241,7 +277,9 @@ def main() -> int:
     for argv, b, h in zip(requests, base, head):
         if b != h:
             differences += 1
-            print(f"DIFF {' '.join(argv)}\n  base {b}\n  head {h}")
+            print(f"DIFF {' '.join(argv)}\n  base {b[:3]}\n  head {h[:3]}")
+            if argv[0] == "verify":
+                print(report_difference(b, h))
     codes = collections.Counter(h[2] for h in head)
     print(f"{len(requests)} requests, {differences} differences; head exit "
           f"codes {dict(sorted(codes.items()))}")
