@@ -15,9 +15,9 @@ same sum over every pair of rows), and the command-line requests built on
 them, never pay its import.
 """
 
-from .chains import (ChainSpec, EigenSystem, Topology, analytic_eigensystem,
-                     build_hamiltonian, spectral_resolvent_entry,
-                     spectral_resolvent_matrix, transmission_proxy)
+from .chains import (ChainSpec, Topology, build_hamiltonian,
+                     spectral_resolvent_entry, spectral_resolvent_matrix,
+                     transmission_proxy)
 from .circulant import (CirculantSpec, circulant_inverse_dft,
                         cyclic_inverse_first_column, cyclic_kernel_basis,
                         det_cyclic, symbol_factorization_inverse)

@@ -1,5 +1,10 @@
 """One-dimensional tight-binding Hamiltonians and their analytic eigensystems.
 
+The eigenbasis of the uniform open chain and ring is formed here and nowhere
+else: `_eigenvalues` and `_mode_row` serve the spectral resolvent, the
+d-dimensional lattices built from the open chain, and the `verify` lattice
+certificates.
+
 Site indices in the public API are 1-based throughout; internal storage is
 0-based.  On-site energy is fixed to zero (the Fermi-level convention), so a
 chain is fully described by its topology, size and the two bond couplings.
@@ -15,14 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING
 
 from .errors import (AlternatingOddN, CycleTooSmall, EnergyAtPole,
                      IndexOutOfRange, InvalidSize, UnsupportedCouplings)
 from .exact import ExactMatrix, Rational, as_rational, guard_dense
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _ONE = Fraction(1)
 
@@ -69,20 +70,6 @@ class ChainSpec:
     def check_site(self, index: int) -> None:
         if not 1 <= index <= self.n_sites:
             raise IndexOutOfRange(f"site {index} outside 1..{self.n_sites}")
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Analytic eigenpairs of a uniform chain.
-
-    ``eigenvalues[i]`` belongs to the i-th column of ``eigenvectors``;
-    ordering is by mode index (r = 1..N for open chains, j = 0..N-1 for
-    cycles), not by value.  Cyclic degenerate pairs are returned as real
-    cosine/sine combinations so the matrix stays real orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def bond_coupling(spec: ChainSpec, bond: int) -> Rational:
@@ -215,21 +202,6 @@ def _resolvent_sum(row_r: list[float], row_s: list[float],
                    gaps: list[float]) -> float:
     """sum_k C_rk C_sk / (E - eps_k) in numpy's pairwise order."""
     return _pairwise_sum([a * b / g for a, b, g in zip(row_r, row_s, gaps)])
-
-
-def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
-    """Closed-form eigenpairs of the uniform open chain or cycle.
-
-    Open chain: eigenvalue 2 cos(r*omega) with sine eigenvectors,
-    omega = pi/(N+1).  Cycle: 2 cos(2*pi*j/N) with the real Fourier basis.
-    The N rows of `_mode_row` as one array: O(N^2).
-    """
-    import numpy as np
-
-    _require_uniform(spec)
-    _require_eigenbasis(spec)
-    rows = [_mode_row(spec, r) for r in range(1, spec.n_sites + 1)]
-    return EigenSystem(np.array(_eigenvalues(spec)), np.array(rows))
 
 
 def spectral_resolvent_entry(spec: ChainSpec, r: int, s: int, energy: float) -> float:

@@ -2,7 +2,8 @@
 
 H_d is the sum over axes of I x ... x H_1 x ... x I built from the open
 chain, so its eigenvalues are all sums 2 sum_i cos(k_i pi/(N+1)) and its
-eigenvectors are tensor products of the chain's sine vectors.  Existence of
+eigenvectors are tensor products of the chain's sine vectors, both taken
+from the one open-chain eigenbasis that `chains` forms.  Existence of
 the Green's function is decided by the exact predicate in
 `vanishing_sums`, never by a float threshold; the spectral formulas are
 evaluated only once that predicate holds.
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .chains import ChainSpec, Topology, _eigenvalues, _mode_row
 from .errors import BudgetExhausted, IndexOutOfRange, SingularLattice, TooLarge
 from .exact import ExactMatrix, guard_dense, max_cells
 from .vanishing_sums import InvertibilityQuery, find_vanishing_witness, is_invertible
@@ -89,6 +91,11 @@ def unflatten(spec: LatticeSpec, flat: int) -> MultiIndex:
     return MultiIndex(tuple(reversed(coords)))
 
 
+def _axis(spec: LatticeSpec) -> ChainSpec:
+    """The open chain along every axis; H_d inherits its eigenbasis."""
+    return ChainSpec(Topology.OPEN, spec.linear_size)
+
+
 def _guard_sites(spec: LatticeSpec) -> None:
     if spec.total_sites > max_cells():
         raise TooLarge(
@@ -129,12 +136,13 @@ def lattice_eigenvalue(spec: LatticeSpec, k: MultiIndex) -> float:
 
 def lattice_spectrum(spec: LatticeSpec) -> np.ndarray:
     """All N^d eigenvalues as a tensor over mode multi-indices
-    (axis i indexed by k_{i+1} - 1)."""
+    (axis i indexed by k_{i+1} - 1), each the sum of the chain's `_eigenvalues`
+    added axis by axis."""
     import numpy as np
 
     _guard_sites(spec)
     n, d = spec.linear_size, spec.dim
-    axis = 2.0 * np.cos(spec.omega * np.arange(1, n + 1))
+    axis = np.array(_eigenvalues(_axis(spec)))
     lam = np.zeros((n,) * d)
     for i in range(d):
         shape = [1] * d
@@ -155,20 +163,13 @@ def _require_invertible(spec: LatticeSpec) -> None:
                           witness=witness.ks if witness else None)
 
 
-def _chain_modes(spec: LatticeSpec) -> np.ndarray:
-    import numpy as np
-
-    n = spec.linear_size
-    idx = np.arange(1, n + 1)
-    return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(idx, idx) * spec.omega)
-
-
 def lattice_green_entry(spec: LatticeSpec, r: MultiIndex, s: MultiIndex) -> float:
     """Green's function entry G(r, s) from the spectral sum.
 
     -(2/(N+1))^d sum over modes of prod_i sin(r_i k_i w) sin(s_i k_i w)
     divided by 2 sum_i cos(k_i w); evaluated with one tensor contraction
-    per axis in a fixed order, so results are bit-reproducible.
+    per axis in a fixed order, so results are bit-reproducible.  Only the
+    2d rows of the chain's eigenbasis that the entry reads are built.
     """
     import numpy as np
 
@@ -176,10 +177,11 @@ def lattice_green_entry(spec: LatticeSpec, r: MultiIndex, s: MultiIndex) -> floa
     _check_index(spec, r)
     _check_index(spec, s)
     _require_invertible(spec)
-    q = _chain_modes(spec)
+    chain = _axis(spec)
     value = -1.0 / lattice_spectrum(spec)
     for ri, si in zip(r.coords, s.coords):
-        value = np.tensordot(q[ri - 1] * q[si - 1], value, axes=(0, 0))
+        pair = np.multiply(_mode_row(chain, ri), _mode_row(chain, si))
+        value = np.tensordot(pair, value, axes=(0, 0))
     return float(value)
 
 
@@ -202,7 +204,8 @@ def lattice_green_matrix(spec: LatticeSpec) -> np.ndarray:
             f"{spec.total_sites} sites exceed the dense limit ({MAX_DENSE_SITES})")
     _require_invertible(spec)
     n, d = spec.linear_size, spec.dim
-    q = _chain_modes(spec)
+    chain = _axis(spec)
+    q = np.array([_mode_row(chain, r) for r in range(1, n + 1)])
     pairs = (q[:, None, :] * q[None, :, :]).reshape(n * n, n).T
     x = -1.0 / lattice_spectrum(spec)
     for _ in range(d - 1):

@@ -2,20 +2,21 @@
 closed forms it reduces to.
 
 This module is the independent verification path for the chain results:
-it never builds a Hamiltonian and never imports numpy.  A single entry of
-the direct sum and the pairing residual use compensated (Kahan) summation;
-the bulk `direct_green_matrix` rounds each entry's sum once (`math.fsum`).
-Angles are reduced with exact integer arithmetic before calling sin/cos,
-so the stated tolerances stay honest up to N = 200.
+it never builds a Hamiltonian and never imports numpy.  The direct sum is
+taken in its product-to-sum form, from sums of cosine ratios each rounded
+once (`math.fsum`): O(N) per entry, O(N^2) for the whole matrix.  The
+pairing residual uses compensated (Kahan) summation.  Angles are reduced
+with exact integer arithmetic before calling sin/cos, so the stated
+tolerances stay honest up to N = 200.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul, truediv
 from typing import Iterable
 
-from .errors import DegenerateAngle, IndexOutOfRange, NearSingularAngle, SingularMatrix
+from .errors import (DegenerateAngle, IndexOutOfRange, InvalidSize,
+                     NearSingularAngle, SingularMatrix)
 
 
 def kahan_sum(values: Iterable[float]) -> float:
@@ -36,45 +37,58 @@ def _sin_pi_ratio(numerator: int, denominator: int) -> float:
     return math.sin(math.pi * m / denominator)
 
 
+def _cos_pi_ratio(numerator: int, denominator: int) -> float:
+    """cos(pi * numerator / denominator) with the angle reduced exactly."""
+    m = numerator % (2 * denominator)
+    return math.cos(math.pi * m / denominator)
+
+
+def _cos_ratio_sums(n: int, ms: Iterable[int]) -> list[float]:
+    """C(m) = sum_{k=1}^{N} cos(m k w) / cos(k w), w = pi/(N+1), for each m.
+
+    Every cosine is read from one table of cos(j w), j = 0..2N+1, taken at
+    exactly reduced angles, and each sum is rounded once (`math.fsum`), so
+    C(m) depends on N and m alone: O(N) per m after the O(N) table.
+    """
+    period = 2 * (n + 1)
+    table = [_cos_pi_ratio(j, n + 1) for j in range(period)]
+    ks = range(1, n + 1)
+    return [math.fsum(table[m * k % period] / table[k] for k in ks) for m in ms]
+
+
+def _require_even_chain(n: int) -> None:
+    if n < 1:
+        raise InvalidSize(f"N must be >= 1, got N={n}")
+    if n % 2:
+        raise SingularMatrix("N odd", n=n)
+
+
 def direct_green_sum(n: int, r: int, s: int) -> float:
     """-(1/(N+1)) sum_{k=1}^{N} sin(r k w) sin(s k w) / cos(k w), w = pi/(N+1).
 
-    Defined for even N only; for odd N one of the cosines vanishes and the
-    sum has a pole.
+    By sin(a) sin(b) = [cos(a - b) - cos(a + b)] / 2 the sum is
+    (C(r+s) - C(|r-s|)) / (2(N+1)) with C the `_cos_ratio_sums`: O(N), and
+    bit for bit its entry of `direct_green_matrix`.  Defined for even N
+    only; for odd N one of the cosines vanishes and the sum has a pole.
     """
-    if n % 2:
-        raise SingularMatrix("N odd", n=n)
+    _require_even_chain(n)
     if not (1 <= r <= n and 1 <= s <= n):
         raise IndexOutOfRange(f"({r}, {s}) outside 1..{n}")
-    np1 = n + 1
-    omega = math.pi / np1
-    terms = (_sin_pi_ratio(r * k, np1) * _sin_pi_ratio(s * k, np1)
-             / math.cos(k * omega) for k in range(1, n + 1))
-    return -kahan_sum(terms) / np1
+    near, far = _cos_ratio_sums(n, (abs(r - s), r + s))
+    return (far - near) / (2 * (n + 1))
 
 
 def direct_green_matrix(n: int) -> list[list[float]]:
-    """Every entry of `direct_green_sum`, as rows of floats, in O(N^3).
+    """Every entry of `direct_green_sum`, as rows of floats, in O(N^2).
 
-    The same sum over k, from one table of sines sin(r k w) built once,
-    with each term taken as (sin(r k w) / cos(k w)) * sin(s k w) and the
-    terms of each entry added exactly rounded (`math.fsum`) rather than
-    compensated.  Only the upper triangle is summed; each value is
-    mirrored below the diagonal.
+    The matrix is Toeplitz minus Hankel: its N^2 entries are read from the
+    2N + 1 sums C(0), ..., C(2N), each formed once.
     """
-    if n % 2:
-        raise SingularMatrix("N odd", n=n)
-    np1 = n + 1
-    omega = math.pi / np1
-    ks = range(1, n + 1)
-    table = [[_sin_pi_ratio(r * k, np1) for k in ks] for r in ks]
-    cosines = [math.cos(k * omega) for k in ks]
-    g = [[0.0] * n for _ in ks]
-    for i, row in enumerate(table):
-        scaled = list(map(truediv, row, cosines))
-        for j in range(i, n):
-            g[i][j] = g[j][i] = -math.fsum(map(mul, scaled, table[j])) / np1
-    return g
+    _require_even_chain(n)
+    c = _cos_ratio_sums(n, range(2 * n + 1))
+    scale = 2 * (n + 1)
+    sites = range(1, n + 1)
+    return [[(c[r + s] - c[abs(r - s)]) / scale for s in sites] for r in sites]
 
 
 def sum_cos(nprime: int, theta: float) -> float:
@@ -138,7 +152,3 @@ def parity_zero_sum(n: int, q: int) -> float:
 
     return kahan_sum(pair(k) for k in range(1, n // 2 + 1))
 
-
-def _cos_pi_ratio(numerator: int, denominator: int) -> float:
-    m = numerator % (2 * denominator)
-    return math.cos(math.pi * m / denominator)

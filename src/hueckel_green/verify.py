@@ -99,7 +99,6 @@ def suite_open(max_n: int, rng: random.Random) -> list[dict]:
     sizes = range(2, max_n + 1, 2)
     vs_usmani = identity = entries = True
     vs_numeric = 0.0
-    harmonic = 0.0
     for n in sizes:
         spec = ChainSpec(Topology.OPEN, n)
         g = green_matrix(spec)
@@ -110,7 +109,7 @@ def suite_open(max_n: int, rng: random.Random) -> list[dict]:
         gf = _float_rows(g)
         numeric = [[-x for x in row] for row in lu_inverse(float_rows(spec))]
         vs_numeric = max(vs_numeric, _max_gap(numeric, gf))
-        harmonic = max(harmonic, _max_gap(trig.direct_green_matrix(n), gf))
+    harmonic = _direct_vs_closed(max_n)
     n = max(2, max_n - max_n % 2)
     semi = _semiseparable_upper(
         green_matrix(ChainSpec(Topology.OPEN, n)).scaled_rows()[0])
@@ -122,6 +121,16 @@ def suite_open(max_n: int, rng: random.Random) -> list[dict]:
         _check("open.harmonic_sum", harmonic <= 1e-9, harmonic),
         _exact("open.semiseparable", semi),
     ]
+
+
+def _direct_vs_closed(max_n: int) -> float:
+    """max |direct sum - closed form| over the open chains with even
+    N <= max_n: the harmonic-sum identity, one sweep for both checks of it."""
+    worst = 0.0
+    for n in range(2, max_n + 1, 2):
+        closed = _float_rows(green_matrix(ChainSpec(Topology.OPEN, n)))
+        worst = max(worst, _max_gap(trig.direct_green_matrix(n), closed))
+    return worst
 
 
 def _semiseparable_upper(rows: list[list[int]]) -> bool:
@@ -395,11 +404,7 @@ def suite_trig(max_n: int, rng: random.Random) -> list[dict]:
     for n in range(2, max_n + 1, 2):
         for q in range(1, n // 2 + 1):
             parity_worst = max(parity_worst, abs(trig.parity_zero_sum(n, q)))
-    direct_worst = 0.0
-    for n in range(2, max_n + 1, 2):
-        closed = _float_rows(green_matrix(ChainSpec(Topology.OPEN, n)))
-        direct_worst = max(direct_worst,
-                           _max_gap(trig.direct_green_matrix(n), closed))
+    direct_worst = _direct_vs_closed(max_n)
     return [
         _check("trig.closed_sums", grid_worst <= 1e-11, grid_worst),
         _exact("trig.sine_ratio", ratio_ok),

@@ -149,15 +149,14 @@ def einsum_lattice_green_matrix(spec):
     """The lattice Green's matrix by the three-operand einsum per axis.
 
     The package's contraction as it was written before it became one GEMM
-    per axis, kept verbatim as the reference for the GEMM route.
+    per axis, kept as the reference for the GEMM route; its chain modes and
+    eigenvalues come from `vectorized_eigensystem`, not from the package.
     """
     import numpy as np
 
-    from hueckel_green.lattice import _chain_modes, lattice_spectrum
-
     n, d = spec.linear_size, spec.dim
-    q = _chain_modes(spec)
-    x = -1.0 / lattice_spectrum(spec)
+    lam, q = vectorized_eigensystem(n, False)
+    x = -1.0 / sum(np.ix_(*(lam,) * d))     # lam_k1 + ... + lam_kd
     for _ in range(d):
         # contract the leading mode axis; append the new (row, col) axes
         x = np.einsum("k...,ak,bk->...ab", x, q, q)
@@ -216,14 +215,18 @@ def numpy_resolvent_matrix(spec, energy: float):
     """The spectral resolvent matrix by numpy's broadcast over the modes.
 
     The package's matrix route as it was written before it summed in plain
-    Python, kept verbatim as the reference that the list-of-rows matrix must
-    equal bit for bit: one N x N product per row, summed along the modes.
+    Python, kept as the reference that the list-of-rows matrix must equal
+    bit for bit: one N x N product per row, summed along the modes.  The
+    modes come from `vectorized_eigensystem`; the package supplies only its
+    refusals (the size guard, the 2-site ring, the pole) and the gaps.
     """
     import numpy as np
 
-    from hueckel_green.chains import _gaps, analytic_eigensystem
+    from hueckel_green.chains import Topology, _gaps, _require_eigenbasis
 
-    modes = analytic_eigensystem(spec).eigenvectors
+    _require_eigenbasis(spec)
+    _, modes = vectorized_eigensystem(spec.n_sites,
+                                      spec.topology is Topology.CYCLIC)
     gaps = np.array(_gaps(spec, energy))
     return np.array([((row * modes) / gaps).sum(axis=1) for row in modes])
 

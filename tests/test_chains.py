@@ -1,4 +1,4 @@
-"""Builders, analytic eigensystems and the spectral resolvent."""
+"""Builders, the analytic eigenbasis and the spectral resolvent."""
 
 import re
 from fractions import Fraction
@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from hueckel_green import (AlternatingOddN, ChainSpec, CycleTooSmall,
                            EnergyAtPole, ExactMatrix, GreenEntryQuery,
                            IndexOutOfRange, TooLarge, Topology,
-                           UnsupportedCouplings, analytic_eigensystem,
-                           build_hamiltonian, green_matrix, green_open,
-                           spectral_resolvent_entry, spectral_resolvent_matrix,
-                           transmission_proxy)
-from hueckel_green.chains import _pairwise_sum
+                           UnsupportedCouplings, build_hamiltonian,
+                           green_matrix, green_open, spectral_resolvent_entry,
+                           spectral_resolvent_matrix, transmission_proxy)
+from hueckel_green.chains import _eigenvalues, _mode_row, _pairwise_sum
 
 from oracles import (cofactor_inverse, numpy_resolvent_matrix,
                      vectorized_eigensystem)
@@ -70,25 +69,28 @@ def test_hamiltonian_symmetric_zero_diagonal(n, topology):
     assert all(h.get(i, i) == 0 for i in range(n))
 
 
+def eigensystem(spec):
+    """(eigenvalues, eigenvector matrix) from `_eigenvalues` and the N rows
+    of `_mode_row`, eigenvalue i belonging to column i."""
+    rows = [_mode_row(spec, r) for r in range(1, spec.n_sites + 1)]
+    return np.array(_eigenvalues(spec)), np.array(rows)
+
+
 def test_eigenvalues_two_sites():
-    system = analytic_eigensystem(ChainSpec(Topology.OPEN, 2))
-    assert np.allclose(system.eigenvalues, [1.0, -1.0])
+    lam, _ = eigensystem(ChainSpec(Topology.OPEN, 2))
+    assert np.allclose(lam, [1.0, -1.0])
 
 
 def test_eigenvalue_single_site():
-    system = analytic_eigensystem(ChainSpec(Topology.OPEN, 1))
-    assert abs(system.eigenvalues[0]) < 1e-15
+    lam, q = eigensystem(ChainSpec(Topology.OPEN, 1))
+    assert abs(lam[0]) < 1e-15
+    assert q[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cyclic_six_contains_band_edges():
-    system = analytic_eigensystem(ChainSpec(Topology.CYCLIC, 6))
-    assert system.eigenvalues[0] == pytest.approx(2.0, abs=1e-12)
-    assert system.eigenvalues[3] == pytest.approx(-2.0, abs=1e-12)
-
-
-def test_eigensystem_rejects_alternating():
-    with pytest.raises(UnsupportedCouplings):
-        analytic_eigensystem(ChainSpec(Topology.OPEN, 4, coupling_odd=2, coupling_even=2))
+    lam, _ = eigensystem(ChainSpec(Topology.CYCLIC, 6))
+    assert lam[0] == pytest.approx(2.0, abs=1e-12)
+    assert lam[3] == pytest.approx(-2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("topology", [Topology.OPEN, Topology.CYCLIC])
@@ -97,12 +99,11 @@ def test_eigensystem_residual_and_norms(topology, n):
     if topology is Topology.CYCLIC and n < 3:
         pytest.skip("cycle needs three sites")
     spec = ChainSpec(topology, n)
-    system = analytic_eigensystem(spec)
+    lam, q = eigensystem(spec)
     h = build_hamiltonian(spec).to_float()
-    residual = np.max(np.abs(h @ system.eigenvectors
-                             - system.eigenvectors * system.eigenvalues))
+    residual = np.max(np.abs(h @ q - q * lam))
     assert residual <= 1e-10
-    norms = np.linalg.norm(system.eigenvectors, axis=0)
+    norms = np.linalg.norm(q, axis=0)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
@@ -110,16 +111,16 @@ def test_eigensystem_residual_and_norms(topology, n):
 def test_eigensystem_rows_equal_the_vectorized_formula(topology):
     cyclic = topology is Topology.CYCLIC
     for n in (*range(3 if cyclic else 1, 41), 127, 128, 129, 130, 257, 400):
-        system = analytic_eigensystem(ChainSpec(topology, n))
-        lam, q = vectorized_eigensystem(n, cyclic)
-        assert np.array_equal(system.eigenvalues, lam), n
-        assert np.array_equal(system.eigenvectors, q), n
+        lam, q = eigensystem(ChainSpec(topology, n))
+        want_lam, want_q = vectorized_eigensystem(n, cyclic)
+        assert np.array_equal(lam, want_lam), n
+        assert np.array_equal(q, want_q), n
 
 
 @settings(max_examples=60)
 @given(n=st.integers(1, 500))
 def test_open_eigenvalue_pairing(n):
-    lam = analytic_eigensystem(ChainSpec(Topology.OPEN, n)).eigenvalues
+    lam = np.array(_eigenvalues(ChainSpec(Topology.OPEN, n)))
     paired = lam + lam[::-1]
     assert np.max(np.abs(paired)) <= 1e-12
 

@@ -7,10 +7,10 @@ import sys
 import pytest
 
 from hueckel_green import (ChainSpec, GreenEntryQuery, TooLarge, Topology,
-                           TridiagonalSpec, analytic_eigensystem,
-                           build_hamiltonian, green_entry, green_matrix,
-                           spectral_resolvent_entry, spectral_resolvent_matrix,
-                           usmani_entry, usmani_inverse)
+                           TridiagonalSpec, build_hamiltonian, green_entry,
+                           green_matrix, spectral_resolvent_entry,
+                           spectral_resolvent_matrix, usmani_entry,
+                           usmani_inverse)
 from hueckel_green.lattice import max_cells
 
 LIMIT = "100"   # a 10x10 matrix just fits, a 14x14 one does not
@@ -25,7 +25,6 @@ def dense_builders(n):
         "alternating": lambda: green_matrix(
             ChainSpec(Topology.OPEN, n, coupling_odd=2, coupling_even=3)),
         "usmani": lambda: usmani_inverse(TridiagonalSpec.from_chain(open_spec)),
-        "eigensystem": lambda: analytic_eigensystem(open_spec),
         "spectral": lambda: spectral_resolvent_matrix(open_spec, 0.3),
         "spectral entry": lambda: spectral_resolvent_entry(open_spec, 1, 2, 0.3),
     }

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hueckel_green import (ChainSpec, DegenerateAngle, NearSingularAngle,
-                           SingularMatrix, Topology, direct_green_matrix,
-                           direct_green_sum, green_matrix, kahan_sum,
-                           parity_zero_sum, sine_ratio_sign, sum_cos, sum_sin)
+from hueckel_green import (ChainSpec, DegenerateAngle, InvalidSize,
+                           NearSingularAngle, SingularMatrix, Topology,
+                           direct_green_matrix, direct_green_sum, green_matrix,
+                           kahan_sum, parity_zero_sum, sine_ratio_sign,
+                           sum_cos, sum_sin)
 
 from oracles import naive_green_sum
 
@@ -39,13 +40,25 @@ def test_direct_sum_matches_naive_oracle(n, r, s):
         naive_green_sum(n, r, s), abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 8, 30])
+@pytest.mark.parametrize("n", [2, 8, 30, 60, 200])
 def test_bulk_matrix_matches_entrywise(n):
+    # bit for bit: both read the same two cosine-ratio sums per entry
     bulk = direct_green_matrix(n)
-    for r in range(1, n + 1):
+    rows = range(1, n + 1) if n <= 60 else (1, 2, n // 3, n // 2, n - 1, n)
+    for r in rows:
         for s in range(1, n + 1):
-            assert bulk[r - 1][s - 1] == pytest.approx(
-                direct_green_sum(n, r, s), abs=1e-11)
+            assert bulk[r - 1][s - 1].hex() == direct_green_sum(n, r, s).hex()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: direct_green_matrix(0), lambda: direct_green_matrix(-2),
+    lambda: direct_green_matrix(-1), lambda: direct_green_sum(0, 1, 1),
+    lambda: direct_green_sum(-2, 1, 1),
+])
+def test_direct_sums_refuse_an_empty_chain(call):
+    # Regression: N = 0 gave an empty matrix and an IndexOutOfRange entry.
+    with pytest.raises(InvalidSize, match="^N must be >= 1, got N=-?[012]$"):
+        call()
 
 
 def test_sum_cos_examples():
