@@ -41,10 +41,10 @@ from .tridiagonal import (ThetaPhiTables, TridiagonalSpec, theta_phi,
                           usmani_entry, usmani_inverse)
 from .trig import (direct_green_matrix, direct_green_sum, kahan_sum,
                    parity_zero_sum, sine_ratio_sign, sum_cos, sum_sin)
-from .vanishing_sums import (CosineWitness, CyclotomicElement,
-                             InvertibilityQuery, cosine_sum_is_zero_exact,
-                             cyclotomic_polynomial, find_vanishing_witness,
-                             is_invertible, roots_of_unity_sum_is_zero,
+from .vanishing_sums import (CosineWitness, InvertibilityQuery,
+                             cosine_sum_is_zero_exact, cyclotomic_polynomial,
+                             find_vanishing_witness, is_invertible,
+                             roots_of_unity_sum_is_zero,
                              smallest_prime_divisor)
 
 __version__ = "0.1.0"

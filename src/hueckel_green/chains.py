@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -37,8 +37,8 @@ class Topology(enum.Enum):
     CYCLIC = "cyclic"
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(namedtuple("ChainSpec",
+                           "topology n_sites coupling_odd coupling_even")):
     """Problem statement for every 1-D builder.
 
     ``coupling_odd`` (beta) sits on bonds 1-2, 3-4, ...; ``coupling_even``
@@ -47,21 +47,20 @@ class ChainSpec:
     require an even number of sites.
     """
 
-    topology: Topology
-    n_sites: int
-    coupling_odd: Rational = field(default=_ONE)
-    coupling_even: Rational = field(default=_ONE)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coupling_odd", as_rational(self.coupling_odd))
-        object.__setattr__(self, "coupling_even", as_rational(self.coupling_even))
-        if self.n_sites < 1:
+    def __new__(cls, topology: Topology, n_sites: int,
+                coupling_odd: Rational = _ONE, coupling_even: Rational = _ONE):
+        coupling_odd = as_rational(coupling_odd)
+        coupling_even = as_rational(coupling_even)
+        if n_sites < 1:
             raise InvalidSize("n_sites must be >= 1")
-        if self.topology is Topology.CYCLIC and self.n_sites < 2:
+        if topology is Topology.CYCLIC and n_sites < 2:
             raise CycleTooSmall("cyclic chain needs at least 2 sites")
-        if self.coupling_odd != self.coupling_even and self.n_sites % 2:
+        if coupling_odd != coupling_even and n_sites % 2:
             raise AlternatingOddN(
-                f"bond alternation requires even N, got N={self.n_sites}")
+                f"bond alternation requires even N, got N={n_sites}")
+        return super().__new__(cls, topology, n_sites, coupling_odd, coupling_even)
 
     @property
     def is_uniform(self) -> bool:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CycleTooSmall, NotSingular, SingularMatrix
+from .errors import CycleTooSmall, InvalidSize, NotSingular, SingularMatrix
 from .exact import Rational, as_rational, over_common_denominator
 from .vanishing_sums import _divisible_by_cyclotomic, _is_word_prime, _poly_trim
 
@@ -26,21 +26,20 @@ _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(namedtuple("CirculantSpec", "first_column")):
     """An N x N circulant, specified by its first column.
 
     Entry (r, s) is ``first_column[(r - s) mod N]``; the representation is
     therefore closed under inversion.
     """
 
-    first_column: tuple[Rational, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "first_column", tuple(as_rational(x) for x in self.first_column))
-        if not self.first_column:
-            raise ValueError("empty first column")
+    def __new__(cls, first_column: tuple[Rational, ...]):
+        first_column = tuple(as_rational(x) for x in first_column)
+        if not first_column:
+            raise InvalidSize("empty first column")
+        return super().__new__(cls, first_column)
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ and the numeric route, or Usmani for open chains, answers them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
@@ -31,19 +31,15 @@ from .trig import direct_green_sum
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class GreenEntryQuery:
+class GreenEntryQuery(namedtuple("GreenEntryQuery", "spec r s")):
     """A single Green's function entry request: which chain, which sites."""
 
-    spec: ChainSpec
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.r <= self.spec.n_sites
-                and 1 <= self.s <= self.spec.n_sites):
-            raise IndexOutOfRange(
-                f"({self.r}, {self.s}) outside 1..{self.spec.n_sites}")
+    def __new__(cls, spec: ChainSpec, r: int, s: int):
+        if not (1 <= r <= spec.n_sites and 1 <= s <= spec.n_sites):
+            raise IndexOutOfRange(f"({r}, {s}) outside 1..{spec.n_sites}")
+        return super().__new__(cls, spec, r, s)
 
 
 def det_open(n: int) -> int:

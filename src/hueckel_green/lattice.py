@@ -15,12 +15,13 @@ flat = sum_i (k_i - 1) N^(d-i) + 1.  Open boundaries only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .chains import ChainSpec, Topology, _eigenvalues, _mode_row
-from .errors import BudgetExhausted, IndexOutOfRange, SingularLattice, TooLarge
+from .errors import (BudgetExhausted, IndexOutOfRange, InvalidSize,
+                     SingularLattice, TooLarge)
 from .exact import ExactMatrix, guard_dense, max_cells
 from .vanishing_sums import InvertibilityQuery, find_vanishing_witness, is_invertible
 
@@ -31,18 +32,17 @@ MAX_DENSE_SITES = 4096
 _WITNESS_BUDGET = 500_000
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(namedtuple("LatticeSpec", "dim linear_size")):
     """Hypercubic lattice: spatial dimension and sites per axis."""
 
-    dim: int
-    linear_size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.linear_size < 1:
-            raise ValueError("linear size must be >= 1")
+    def __new__(cls, dim: int, linear_size: int):
+        if dim < 1:
+            raise InvalidSize("dimension must be >= 1")
+        if linear_size < 1:
+            raise InvalidSize("linear size must be >= 1")
+        return super().__new__(cls, dim, linear_size)
 
     @property
     def total_sites(self) -> int:
@@ -53,14 +53,13 @@ class LatticeSpec:
         return math.pi / (self.linear_size + 1)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(namedtuple("MultiIndex", "coords")):
     """Per-axis coordinates (k_1, ..., k_d), each 1-based."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    def __new__(cls, coords: tuple[int, ...]):
+        return super().__new__(cls, tuple(int(c) for c in coords))
 
 
 def _check_index(spec: LatticeSpec, mi: MultiIndex) -> None:

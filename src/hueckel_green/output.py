@@ -7,15 +7,19 @@ JSON.  A document's entries are all exact or all floats, so its formatter
 is chosen once, from the first entry, and the JSON "exact" field follows
 from that choice.  Matrix JSON is emitted by hand, row by row; emitted
 documents parse back losslessly.
+
+A document is one writer bound to its content, such as
+``partial(_write_matrix, rows, fmt, topology)``: `render` collects the
+chunks it emits and `write_to` streams them.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Any
+from functools import partial
+from typing import IO, Any, Callable
 
 from .errors import TooLarge
 from .exact import ExactMatrix
@@ -26,13 +30,6 @@ CSV_CELL_LIMIT = 10 ** 6
 class Format(enum.Enum):
     CSV = "csv"
     JSON = "json"
-
-
-class Kind(enum.Enum):
-    MATRIX = "matrix"
-    SCALAR = "scalar"
-    DECISION = "decision"
-    REPORT = "report"
 
 
 def format_rational(x: Fraction) -> str:
@@ -69,36 +66,27 @@ def _entry_formatter(first, fmt: Format):
     return format_rational if fmt is Format.CSV else _json_rational
 
 
-@dataclass
 class OutputDocument:
-    kind: Kind
-    payload: Any
-    fmt: Format = Format.CSV
+    """One document, ready to emit: a writer that passes each chunk of the
+    document's text, in order, to the ``emit`` function it is given."""
+
+    __slots__ = ("_write",)
+
+    def __init__(self, write: Callable[[Callable[[str], Any]], None]):
+        self._write = write
 
     def render(self) -> str:
         chunks: list[str] = []
-        self.write(chunks.append)
+        self._write(chunks.append)
         return "".join(chunks)
 
     def write_to(self, stream: IO[str]) -> None:
-        self.write(stream.write)
-
-    def write(self, emit) -> None:
-        if self.kind is Kind.MATRIX:
-            _write_matrix(self.payload, self.fmt, emit)
-        elif self.kind is Kind.SCALAR:
-            emit(_scalar(self.payload["value"], self.fmt))
-            emit("\n")
-        elif self.kind is Kind.DECISION:
-            emit(_decision_json(self.payload))
-            emit("\n")
-        else:
-            _write_report(self.payload, self.fmt, emit)
+        self._write(stream.write)
 
 
 def matrix_document(rows: list[list], fmt: Format,
                     topology: str | None = None) -> OutputDocument:
-    return OutputDocument(Kind.MATRIX, {"rows": rows, "topology": topology}, fmt)
+    return OutputDocument(partial(_write_matrix, rows, fmt, topology))
 
 
 def matrix_rows(m) -> list[list]:
@@ -109,23 +97,20 @@ def matrix_rows(m) -> list[list]:
 
 
 def scalar_document(value, fmt: Format) -> OutputDocument:
-    return OutputDocument(Kind.SCALAR, {"value": value}, fmt)
+    return OutputDocument(partial(_write_scalar, value, fmt))
 
 
 def decision_document(invertible: bool, reason: str,
                       witness: tuple[int, ...] | None = ...) -> OutputDocument:
-    payload = {"invertible": invertible, "reason": reason}
-    if witness is not ...:
-        payload["witness"] = list(witness) if witness is not None else None
-    return OutputDocument(Kind.DECISION, payload, Format.JSON)
+    return OutputDocument(partial(_write_decision, invertible, reason, witness))
 
 
 def report_document(checks: list[dict], fmt: Format) -> OutputDocument:
-    return OutputDocument(Kind.REPORT, {"checks": checks}, fmt)
+    return OutputDocument(partial(_write_report, checks, fmt))
 
 
-def _write_matrix(payload, fmt: Format, emit) -> None:
-    rows = payload["rows"]
+def _write_matrix(rows: list[list], fmt: Format, topology: str | None,
+                  emit) -> None:
     cells = len(rows) * len(rows[0])
     entry = _entry_formatter(rows[0][0], fmt)
     if fmt is Format.CSV:
@@ -137,8 +122,8 @@ def _write_matrix(payload, fmt: Format, emit) -> None:
             emit("\n")
         return
     emit('{"kind": "matrix"')
-    if payload["topology"] is not None:
-        emit(f', "topology": {json.dumps(payload["topology"])}')
+    if topology is not None:
+        emit(f', "topology": {json.dumps(topology)}')
     emit(f', "n": {len(rows)}, "entries": [')
     for i, row in enumerate(rows):
         if i:
@@ -150,25 +135,25 @@ def _write_matrix(payload, fmt: Format, emit) -> None:
     emit("\n")
 
 
-def _scalar(value, fmt: Format) -> str:
+def _write_scalar(value, fmt: Format, emit) -> None:
     entry = _entry_formatter(value, fmt)
     if fmt is Format.CSV:
-        return entry(value)
+        emit(f"{entry(value)}\n")
+        return
     exact = "false" if entry is format_float else "true"
-    return f'{{"kind": "scalar", "value": {entry(value)}, "exact": {exact}}}'
+    emit(f'{{"kind": "scalar", "value": {entry(value)}, "exact": {exact}}}\n')
 
 
-def _decision_json(payload) -> str:
-    parts = [f'"invertible": {"true" if payload["invertible"] else "false"}',
-             f'"reason": {json.dumps(payload["reason"])}']
-    if "witness" in payload:
-        witness = payload["witness"]
+def _write_decision(invertible: bool, reason: str, witness, emit) -> None:
+    """``witness`` is left out of the document when it is ``...``."""
+    parts = [f'"invertible": {"true" if invertible else "false"}',
+             f'"reason": {json.dumps(reason)}']
+    if witness is not ...:
         parts.append(f'"witness": {json.dumps(witness)}')
-    return "{" + ", ".join(parts) + "}"
+    emit("{" + ", ".join(parts) + "}\n")
 
 
-def _write_report(payload, fmt: Format, emit) -> None:
-    checks = payload["checks"]
+def _write_report(checks: list[dict], fmt: Format, emit) -> None:
     if fmt is Format.CSV:
         for c in checks:
             emit(f'{c["id"]},{"pass" if c["passed"] else "fail"},'

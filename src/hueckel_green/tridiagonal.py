@@ -8,11 +8,12 @@ the inverse: the full inverse in O(N^2), a single entry in O(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chains import ChainSpec, Topology, bond_coupling
-from .errors import SingularMatrix, UnsupportedCouplings
+from .errors import (IndexOutOfRange, InvalidSize, SingularMatrix,
+                     UnsupportedCouplings)
 from .exact import (ExactMatrix, Rational, as_rational, guard_dense,
                     over_common_denominator)
 
@@ -20,27 +21,26 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class TridiagonalSpec:
+class TridiagonalSpec(namedtuple("TridiagonalSpec", "sub diag sup")):
     """Three diagonals of an N x N tridiagonal matrix.
 
     ``sub`` holds a_1..a_{N-1} (entry (i+1, i)), ``diag`` b_1..b_N and
     ``sup`` c_1..c_{N-1} (entry (i, i+1)), all exact rationals.
     """
 
-    sub: tuple[Rational, ...]
-    diag: tuple[Rational, ...]
-    sup: tuple[Rational, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "sub", tuple(as_rational(x) for x in self.sub))
-        object.__setattr__(self, "diag", tuple(as_rational(x) for x in self.diag))
-        object.__setattr__(self, "sup", tuple(as_rational(x) for x in self.sup))
-        n = len(self.diag)
+    def __new__(cls, sub: tuple[Rational, ...], diag: tuple[Rational, ...],
+                sup: tuple[Rational, ...]):
+        sub = tuple(as_rational(x) for x in sub)
+        diag = tuple(as_rational(x) for x in diag)
+        sup = tuple(as_rational(x) for x in sup)
+        n = len(diag)
         if n < 1:
-            raise ValueError("empty diagonal")
-        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
+            raise InvalidSize("empty diagonal")
+        if len(sub) != n - 1 or len(sup) != n - 1:
             raise ValueError("off-diagonals must have length N-1")
+        return super().__new__(cls, sub, diag, sup)
 
     @property
     def n(self) -> int:
@@ -60,8 +60,7 @@ class TridiagonalSpec:
         return cls(off, (_ZERO,) * spec.n_sites, off)
 
 
-@dataclass(frozen=True)
-class ThetaPhiTables:
+class ThetaPhiTables(namedtuple("ThetaPhiTables", "theta phi")):
     """Fully evaluated recursion tables.
 
     ``theta`` stores theta_{-1}..theta_N (so ``theta[r + 1]`` is theta_r)
@@ -69,8 +68,7 @@ class ThetaPhiTables:
     theta_N is the determinant.
     """
 
-    theta: tuple[Rational, ...]
-    phi: tuple[Rational, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -127,7 +125,7 @@ def usmani_entry(spec: TridiagonalSpec, r: int, s: int,
     """
     n = spec.n
     if not (1 <= r <= n and 1 <= s <= n):
-        raise IndexError((r, s))
+        raise IndexOutOfRange(f"({r}, {s}) outside 1..{n}")
     tables = require_invertible(spec, tables)
     det = tables.determinant
     if r == s:

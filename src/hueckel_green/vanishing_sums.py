@@ -27,7 +27,7 @@ eigenvalues +-1, +-3 and is invertible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetExhausted, InvalidSize
@@ -35,42 +35,23 @@ from .errors import BudgetExhausted, InvalidSize
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class InvertibilityQuery:
+class InvertibilityQuery(namedtuple("InvertibilityQuery", "dim n")):
     """Dimension d and n = N+1 for one lattice existence question."""
 
-    dim: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __new__(cls, dim: int, n: int):
+        if dim < 1:
             raise InvalidSize("dimension must be >= 1")
-        if self.n < 2:
+        if n < 2:
             raise InvalidSize("n must be >= 2")
+        return super().__new__(cls, dim, n)
 
 
-@dataclass(frozen=True)
-class CosineWitness:
+class CosineWitness(namedtuple("CosineWitness", "ks")):
     """Sorted mode numbers whose cosine sum vanishes exactly."""
 
-    ks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CyclotomicElement:
-    """Integer combination of 2n-th roots of unity, as a polynomial
-    modulo x^modulus - 1.  It is zero as a cyclotomic integer iff the
-    polynomial is divisible by the modulus-th cyclotomic polynomial."""
-
-    modulus: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.modulus:
-            raise ValueError("coefficient vector must have length = modulus")
-
-    def is_zero(self) -> bool:
-        return _divisible_by_cyclotomic(self.modulus, self.coeffs)
+    __slots__ = ()
 
 
 def _poly_trim(coeffs: list[int]) -> list[int]:
@@ -113,7 +94,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _divisible_by_cyclotomic(m: int, coeffs: tuple[int, ...]) -> bool:
+def _divisible_by_cyclotomic(m: int, coeffs: list[int] | tuple[int, ...]) -> bool:
     phi = cyclotomic_polynomial(m)
     work = list(coeffs)
     if m % 2 == 0:
@@ -134,11 +115,15 @@ def _divisible_by_cyclotomic(m: int, coeffs: tuple[int, ...]) -> bool:
 
 
 def roots_of_unity_sum_is_zero(modulus: int, exponents) -> bool:
-    """Exact test of sum_i zeta_modulus^{e_i} = 0 (with multiplicity)."""
+    """Exact test of sum_i zeta_modulus^{e_i} = 0 (with multiplicity).
+
+    The sum is the polynomial of exponent counts modulo x^modulus - 1; it
+    vanishes iff the modulus-th cyclotomic polynomial divides it.
+    """
     coeffs = [0] * modulus
     for e in exponents:
         coeffs[e % modulus] += 1
-    return CyclotomicElement(modulus, tuple(coeffs)).is_zero()
+    return _divisible_by_cyclotomic(modulus, coeffs)
 
 
 def cosine_sum_is_zero_exact(n: int, ks) -> bool:

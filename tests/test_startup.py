@@ -1,11 +1,16 @@
 """Process start: exact requests, the float LU, spectral entries,
 spectral matrices up to 128 sites and every verify suite never import
-numpy; spectral matrices above 128 sites do.
+numpy; spectral matrices above 128 sites do.  Neither the package import
+nor any of those requests loads `dataclasses` or `inspect` (with the `ast`,
+`dis` and `tokenize` imports they bring), which cost every process
+milliseconds.
 
 Each case runs in a fresh interpreter, so `sys.modules` shows exactly what
-the package import and one `cli.main` call loaded.
+the package import and one `cli.main` call loaded.  The numpy and the
+`dataclasses` tests of a case share that interpreter's report.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -15,6 +20,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Each probe ends by printing its code and which of these it loaded.
+WATCHED = ("numpy", "dataclasses", "inspect")
+REPORT = f"print(code, *(m for m in {WATCHED!r} if m in sys.modules))\n"
+
 PROBE = """
 import contextlib, io, sys
 import hueckel_green, hueckel_green.cli
@@ -23,8 +32,7 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = hueckel_green.cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
-"""
+""" + REPORT
 
 
 CIRCULANT_PROBE = """
@@ -35,19 +43,30 @@ try:
     circulant_inverse_dft(CirculantSpec((0, 1, 0, 1)))
 except SingularMatrix as err:
     code = err.index
-print(code, "numpy" in sys.modules)
-"""
+""" + REPORT
 
 
-def probe(*argv, script=PROBE):
-    """(exit code of cli.main or None, whether numpy was imported)."""
+@functools.lru_cache(maxsize=None)
+def run_probe(script, *argv):
+    """(exit code of cli.main or None, the `WATCHED` modules it loaded)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     result = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                             capture_output=True, text=True, check=True)
-    code, loaded = result.stdout.split()
-    return (None if code == "None" else int(code)), loaded == "True"
+    code, *loaded = result.stdout.split()
+    return (None if code == "None" else int(code)), tuple(loaded)
+
+
+def probe(*argv, script=PROBE):
+    """(exit code of cli.main or None, whether numpy was imported)."""
+    code, loaded = run_probe(script, *argv)
+    return code, "numpy" in loaded
+
+
+def slow_stdlib_loaded(*argv):
+    """The ones of `dataclasses` and `inspect` that the probe loaded."""
+    return [m for m in run_probe(PROBE, *argv)[1] if m != "numpy"]
 
 
 OPEN = ("--topology", "open", "--n", "6")
@@ -110,6 +129,16 @@ def test_package_import_leaves_numpy_out():
 @pytest.mark.parametrize("argv, code", EXACT_ROUTES.values(), ids=EXACT_ROUTES)
 def test_exact_routes_leave_numpy_out(argv, code):
     assert probe(*argv) == (code, False)
+
+
+def test_package_import_leaves_dataclasses_out():
+    assert slow_stdlib_loaded() == []
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in EXACT_ROUTES.values()],
+                         ids=EXACT_ROUTES)
+def test_exact_routes_leave_dataclasses_out(argv):
+    assert slow_stdlib_loaded(*argv) == []
 
 
 @pytest.mark.parametrize("argv, code", FLOAT_ROUTES.values(), ids=FLOAT_ROUTES)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hueckel_green import (ChainSpec, ExactMatrix, SingularMatrix, Topology,
-                           TridiagonalSpec, det_fraction_free, theta_phi,
-                           usmani_entry, usmani_inverse)
+from hueckel_green import (ChainSpec, ExactMatrix, IndexOutOfRange,
+                           SingularMatrix, Topology, TridiagonalSpec,
+                           det_fraction_free, theta_phi, usmani_entry,
+                           usmani_inverse)
 
 from oracles import (cofactor_det, cofactor_inverse, gauss_jordan_inverse,
                      multiply, tridiagonal_rows)
@@ -50,6 +51,14 @@ def test_theta_three_site_ones():
 def test_usmani_permutation_self_inverse():
     spec = TridiagonalSpec((F(1),), (F(0), F(0)), (F(1),))
     assert usmani_inverse(spec).to_lists() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("r,s", [(0, 1), (1, 0), (5, 1), (1, 5)])
+def test_usmani_entry_outside_the_chain_is_index_out_of_range(r, s):
+    # Regression: this raised a bare IndexError((r, s)).
+    with pytest.raises(IndexOutOfRange) as err:
+        usmani_entry(hueckel_spec(4), r, s)
+    assert str(err.value) == f"({r}, {s}) outside 1..4"
 
 
 def test_usmani_uniform_four_site_block():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hueckel_green import (BudgetExhausted, CosineWitness, CyclotomicElement,
-                           InvertibilityQuery, LatticeSpec,
+from hueckel_green import (BudgetExhausted, CosineWitness, InvertibilityQuery,
+                           LatticeSpec,
                            build_lattice_hamiltonian, cosine_sum_is_zero_exact,
                            cyclotomic_polynomial, find_vanishing_witness,
                            is_invertible, roots_of_unity_sum_is_zero,
@@ -103,10 +103,9 @@ def test_cyclotomic_degree_is_totient(m):
     assert degree == totient
 
 
-def test_cyclotomic_element_zero_test():
-    elem = CyclotomicElement(3, (1, 1, 1))
-    assert elem.is_zero()
-    assert not CyclotomicElement(3, (1, 1, 0)).is_zero()
+def test_cube_roots_of_unity_zero_test():
+    assert roots_of_unity_sum_is_zero(3, (0, 1, 2))
+    assert not roots_of_unity_sum_is_zero(3, (0, 1))
 
 
 def test_cyclotomic_divisibility_equals_long_division():
