@@ -144,22 +144,20 @@ def _alternating_cyclic_kernel(spec: ChainSpec) -> EntryFn:
         raise CycleTooSmall("cyclic bond alternation needs N >= 4")
     if beta == 0 or alpha == 0:
         raise ZeroCoupling("couplings must be nonzero")
-    half = n // 2
-    den_ab = 1 - (-alpha / beta) ** half
-    den_ba = 1 - (-beta / alpha) ** half
-    if den_ab == 0 or den_ba == 0:
+    # 1 - (-beta/alpha)^(N/2) vanishes exactly when this denominator does
+    den = 1 - (-alpha / beta) ** (n // 2)
+    if den == 0:
         case = "N=4k" if alpha == beta else "alternating denominator"
         raise SingularMatrix(case, n=n)
-    # G = -(the term whose parity applies); index 1 picks the negation
-    from_odd = _signed_powers(-alpha / beta, beta * den_ab)
-    from_even = _signed_powers(-beta / alpha, alpha * den_ba)
+    # G = -(the term from the even site); index 1 picks the negation
+    powers = _signed_powers(-alpha / beta, beta * den)
 
     def entry(r: int, s: int) -> Rational:
         if r % 2 == s % 2:
             return _ZERO
-        shift = (r - s - 1) if r > s else (n + r - s - 1)
-        powers = from_odd if r % 2 == 0 else from_even
-        return powers(shift // 2)[1]
+        if r % 2:
+            r, s = s, r     # G(r, s) = G(s, r): put the even site first
+        return powers((r - s - 1) % n // 2)[1]
     return entry
 
 
@@ -205,11 +203,12 @@ def green_cyclic(q: GreenEntryQuery) -> Rational:
 def green_cyclic_bond_alternating(q: GreenEntryQuery) -> Rational:
     """Cycle with alternating couplings (N even, N >= 4).
 
-    Four-term closed form; the two geometric denominators
-    1 - (-alpha/beta)^(N/2) and 1 - (-beta/alpha)^(N/2) are checked
-    exactly and reproduce the N = 4k singularity at equal couplings.  An
-    odd ring has equal couplings t, and its entries are the uniform ring's
-    divided by t.
+    Four-term closed form.  Its two geometric denominators
+    1 - (-alpha/beta)^(N/2) and 1 - (-beta/alpha)^(N/2) vanish together, so
+    the first is checked exactly; it reproduces the N = 4k singularity at
+    equal couplings.  By G(r, s) = G(s, r) every entry is the term read
+    from the even site.  An odd ring has equal couplings t, and its entries
+    are the uniform ring's divided by t.
     """
     return _alternating_cyclic_kernel(q.spec)(q.r, q.s)
 

@@ -37,8 +37,8 @@ class EnergyAtPole(HueckelError):
     sum is undefined pointwise."""
 
 
-class IndexOutOfRange(HueckelError):
-    """Site index outside 1..N."""
+class IndexOutOfRange(HueckelError, IndexError):
+    """Site or matrix index outside its range; also an IndexError."""
 
 
 class ZeroCoupling(HueckelError):

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import SingularMatrix, TooLarge
+from .errors import IndexOutOfRange, InvalidSize, SingularMatrix, TooLarge
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,16 +65,16 @@ def over_common_denominator(
 class ExactMatrix:
     """Immutable dense matrix of exact rationals, stored row-major."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("_rows", "_cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
         if rows <= 0 or cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
+            raise InvalidSize("matrix dimensions must be positive")
         data = [as_rational(x) for x in entries]
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        self.rows = rows
-        self.cols = cols
+        self._rows = rows
+        self._cols = cols
         self._data = data
 
     @classmethod
@@ -85,17 +86,20 @@ class ExactMatrix:
         no coercion and no checks, so the caller owns both.
         """
         m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = cols
+        m._rows = rows
+        m._cols = cols
         m._data = data
         return m
+
+    rows = property(attrgetter("_rows"))
+    cols = property(attrgetter("_cols"))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "ExactMatrix":
         rows = [list(r) for r in rows]
         n = len(rows)
         if n == 0:
-            raise ValueError("no rows")
+            raise InvalidSize("no rows")
         m = len(rows[0])
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
@@ -103,21 +107,22 @@ class ExactMatrix:
 
     def get(self, i: int, j: int) -> Fraction:
         """Entry at 0-based (i, j)."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return self._data[i * self.cols + j]
+        if not (0 <= i < self._rows and 0 <= j < self._cols):
+            raise IndexOutOfRange(f"({i}, {j}) outside the "
+                                  f"{self._rows}x{self._cols} matrix")
+        return self._data[i * self._cols + j]
 
     def row(self, i: int) -> list[Fraction]:
-        return self._data[i * self.cols:(i + 1) * self.cols]
+        return self._data[i * self._cols:(i + 1) * self._cols]
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
+        return [self.row(i) for i in range(self._rows)]
 
     def scaled_rows(self) -> tuple[list[list[int]], int]:
         """Integer rows and d > 0 with self = rows / d (d the lcm of the denominators)."""
         flat, d = over_common_denominator(self._data)
-        c = self.cols
-        return [flat[i * c:(i + 1) * c] for i in range(self.rows)], d
+        c = self._cols
+        return [flat[i * c:(i + 1) * c] for i in range(self._rows)], d
 
     def to_float(self) -> np.ndarray:
         """Float copy; only the nonzero entries are converted."""
@@ -125,23 +130,23 @@ class ExactMatrix:
 
         data = self._data
         nonzero = [k for k, x in enumerate(data) if x]
-        out = np.zeros(self.rows * self.cols)
+        out = np.zeros(self._rows * self._cols)
         out[nonzero] = [float(data[k]) for k in nonzero]
-        return out.reshape(self.rows, self.cols)
+        return out.reshape(self._rows, self._cols)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._of_fractions(self.rows, self.cols,
+        return ExactMatrix._of_fractions(self._rows, self._cols,
                                          [-x for x in self._data])
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ExactMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self._data == other._data)
+        return (isinstance(other, ExactMatrix) and self._rows == other._rows
+                and self._cols == other._cols and self._data == other._data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self._data)))
+        return hash((self._rows, self._cols, tuple(self._data)))
 
     def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
+        return f"ExactMatrix({self._rows}x{self._cols})"
 
 
 def mat_vec(m: ExactMatrix, v: Sequence[Fraction]) -> list[Fraction]:

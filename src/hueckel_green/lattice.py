@@ -14,7 +14,6 @@ flat = sum_i (k_i - 1) N^(d-i) + 1.  Open boundaries only.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -47,10 +46,6 @@ class LatticeSpec(namedtuple("LatticeSpec", "dim linear_size")):
     @property
     def total_sites(self) -> int:
         return self.linear_size ** self.dim
-
-    @property
-    def omega(self) -> float:
-        return math.pi / (self.linear_size + 1)
 
 
 class MultiIndex(namedtuple("MultiIndex", "coords")):
@@ -128,9 +123,14 @@ def build_lattice_hamiltonian(spec: LatticeSpec) -> ExactMatrix:
 
 
 def lattice_eigenvalue(spec: LatticeSpec, k: MultiIndex) -> float:
-    """Eigenvalue 2 sum_i cos(k_i pi/(N+1)) for one mode multi-index."""
+    """Eigenvalue 2 sum_i cos(k_i pi/(N+1)) for one mode multi-index: the
+    chain's `_eigenvalues` added left to right, as in `lattice_spectrum`."""
     _check_index(spec, k)
-    return 2.0 * sum(math.cos(c * spec.omega) for c in k.coords)
+    axis = _eigenvalues(_axis(spec))
+    total = 0.0
+    for c in k.coords:
+        total += axis[c - 1]
+    return total
 
 
 def lattice_spectrum(spec: LatticeSpec) -> np.ndarray:

@@ -3,11 +3,15 @@
 Everything here runs in exact rational arithmetic; there is deliberately no
 floating-point path in this module.  The forward table theta ends in the
 determinant, and together with the backward table phi gives the entries of
-the inverse: the full inverse in O(N^2), a single entry in O(N).
+the inverse: the full inverse in O(N^2), a single entry in O(N).  T, its
+transpose and its reversal share the bond products a_i c_i, so phi is
+theta of the reversed matrix read backwards, and the lower triangle of
+T^-1 is the upper triangle of (T^T)^-1.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -85,26 +89,27 @@ class ThetaPhiTables(namedtuple("ThetaPhiTables", "theta phi")):
         return self.theta_at(self.n)
 
 
+def _continuant(diag, prods) -> list[Rational]:
+    """t_{-1}..t_N of t_r = d_r t_{r-1} - p_{r-1} t_{r-2}, t_{-1} = 0,
+    t_0 = 1, where p_i is the product of bond i."""
+    t = [_ZERO, _ONE]
+    for d, p in zip(diag, (_ZERO, *prods)):
+        t.append(d * t[-1] - p * t[-2])
+    return t
+
+
 def theta_phi(spec: TridiagonalSpec) -> ThetaPhiTables:
     """Run both second-order recursions in exact arithmetic.
 
     theta_r = b_r theta_{r-1} - a_{r-1} c_{r-1} theta_{r-2} with
     theta_{-1} = 0, theta_0 = 1; phi runs backwards from phi_{N+1} = 1,
-    phi_{N+2} = 0.  Always defined, even for singular matrices.
+    phi_{N+2} = 0, as theta of the reversed matrix.  Always defined, even
+    for singular matrices.
     """
-    n = spec.n
-    a, b, c = spec.sub, spec.diag, spec.sup
-    theta = [_ZERO, _ONE]
-    for r in range(1, n + 1):
-        prod = a[r - 2] * c[r - 2] if r >= 2 else _ZERO
-        theta.append(b[r - 1] * theta[r] - prod * theta[r - 1])
-    phi = [_ZERO] * (n + 2)
-    phi[n + 1] = _ZERO          # phi_{N+2}
-    phi[n] = _ONE               # phi_{N+1}
-    for s in range(n, 0, -1):
-        prod = c[s - 1] * a[s - 1] if s <= n - 1 else _ZERO
-        phi[s - 1] = b[s - 1] * phi[s] - prod * phi[s + 1]
-    return ThetaPhiTables(tuple(theta), tuple(phi))
+    prods = [a * c for a, c in zip(spec.sub, spec.sup)]
+    theta = _continuant(spec.diag, prods)
+    phi = _continuant(spec.diag[::-1], prods[::-1])
+    return ThetaPhiTables(tuple(theta), tuple(reversed(phi)))
 
 
 def require_invertible(spec: TridiagonalSpec,
@@ -127,77 +132,60 @@ def usmani_entry(spec: TridiagonalSpec, r: int, s: int,
     if not (1 <= r <= n and 1 <= s <= n):
         raise IndexOutOfRange(f"({r}, {s}) outside 1..{n}")
     tables = require_invertible(spec, tables)
-    det = tables.determinant
-    if r == s:
-        return tables.theta_at(r - 1) * tables.phi_at(r + 1) / det
-    sign = -_ONE if (r + s) % 2 else _ONE
-    if r < s:
-        prod = _ONE
-        for i in range(r, s):
-            prod *= spec.sup[i - 1]
-        return sign * prod * tables.theta_at(r - 1) * tables.phi_at(s + 1) / det
-    prod = _ONE
-    for i in range(s, r):
-        prod *= spec.sub[i - 1]
-    return sign * prod * tables.theta_at(s - 1) * tables.phi_at(r + 1) / det
+    lo, hi = min(r, s), max(r, s)
+    prod = math.prod((spec.sup if r < s else spec.sub)[lo - 1:hi - 1],
+                     start=_ONE)
+    if (r + s) % 2:
+        prod = -prod
+    return (prod * tables.theta_at(lo - 1) * tables.phi_at(hi + 1)
+            / tables.determinant)
 
 
-def _restarting_prefix(bonds) -> list[Rational]:
-    """p_0..p_{N-1} with p_j / p_i = bonds[i] * ... * bonds[j-1] for i <= j,
-    whenever none of those bonds is zero.  After each zero bond the product
-    restarts at one, so every p_i is nonzero."""
-    prefix = [_ONE]
-    for x in bonds:
-        prefix.append(prefix[-1] * x if x else _ONE)
-    return prefix
+def _triangle_rows(bonds, tables: ThetaPhiTables):
+    """Rows of the upper triangle of T^-1, diagonal included, for the
+    invertible tridiagonal T with superdiagonal ``bonds`` and ``tables``.
 
-
-def usmani_inverse(spec: TridiagonalSpec) -> ExactMatrix:
-    """Exact inverse of the whole matrix, from integer rank-one generators.
-
-    Each triangle of a tridiagonal inverse has rank one.  On and above the
-    diagonal, within a run of nonzero c's, entry (r, s) is x_r * y_s with
-    x_r = theta_{r-1} / (theta_N p_r) and y_s = p_s phi_{s+1}, where p is
-    the prefix product of -c restarted at every zero bond; entries across a
-    zero c are exactly 0.  Below the diagonal the same holds with -a and
-    the roles of theta and phi swapped.  Each generator is put over one
-    common denominator as Python ints, so the O(N^2) entries cost one int
-    product and one gcd (`Fraction(p, D)`) each.
+    Row i (0-based) runs from column i to the end of its block, the run of
+    sites joined by nonzero bonds; entries past the block are exactly 0, and
+    a row with theta_{i-1} = 0 is empty.  Within a block entry (r, s) is
+    x_r * y_s with x_r = theta_{r-1} / (theta_N p_r) and y_s = p_s phi_{s+1},
+    p the prefix product of -bonds restarted at one after each zero bond.
+    Each generator is put over one common denominator as Python ints, so an
+    entry costs one int product and one gcd (`Fraction(x * y, D)`).
     """
-    n = spec.n
-    tables = require_invertible(spec)
-    guard_dense(n)
-    det = tables.determinant
+    n, det = tables.n, tables.determinant
     theta = tables.theta[1:n + 1]     # theta_{r-1} for r = 1..N
     phi = tables.phi[1:n + 1]         # phi_{r+1} for r = 1..N
-    data = [_ZERO] * (n * n)
-    # Upper triangle with the diagonal: row i spans columns i..end-1, where
-    # end stops at the first zero c at or after bond i.
-    p = _restarting_prefix([-x for x in spec.sup])
+    p = [_ONE]
+    for x in bonds:
+        p.append(p[-1] * -x if x else _ONE)
     xs, dx = over_common_denominator([t / (det * q) for t, q in zip(theta, p)])
     ys, dy = over_common_denominator([q * f for q, f in zip(p, phi)])
     den = dx * dy
-    end = n
-    for i in range(n - 1, -1, -1):
-        if i < n - 1 and not spec.sup[i]:
-            end = i + 1
-        x = xs[i]
-        if x:
-            data[i * n + i:i * n + end] = [
-                Fraction(x * y, den) if y else _ZERO for y in ys[i:end]]
-    # Lower triangle: row i spans columns start..i-1, where start follows
-    # the last zero a before bond i.
-    p = _restarting_prefix([-x for x in spec.sub])
-    xs, dx = over_common_denominator([q * f for q, f in zip(p, phi)])
-    ys, dy = over_common_denominator([t / (det * q) for t, q in zip(theta, p)])
-    den = dx * dy
     start = 0
-    for i in range(1, n):
-        if not spec.sub[i - 1]:
-            start = i
-        x = xs[i]
-        if x:
-            data[i * n + start:i * n + i] = [
-                Fraction(x * y, den) if y else _ZERO for y in ys[start:i]]
-    return ExactMatrix._of_fractions(n, n, data)
+    for end in [j + 1 for j, x in enumerate(bonds) if not x] + [n]:
+        for i in range(start, end):
+            x = xs[i]
+            yield [Fraction(x * y, den) if y else _ZERO
+                   for y in ys[i:end]] if x else []
+        start = end
 
+
+def usmani_inverse(spec: TridiagonalSpec) -> ExactMatrix:
+    """Exact inverse of the whole matrix in O(N^2), one rank-one triangle
+    at a time (`_triangle_rows`).  T^T has the same theta and phi, so the
+    rows built from ``sub`` are the columns of the lower triangle; a
+    symmetric T reuses the upper rows."""
+    n = spec.n
+    tables = require_invertible(spec)
+    guard_dense(n)
+    upper = _triangle_rows(spec.sup, tables)
+    if spec.sub == spec.sup:
+        pairs = ((row, row) for row in upper)
+    else:
+        pairs = zip(upper, _triangle_rows(spec.sub, tables))
+    data = [_ZERO] * (n * n)
+    for i, (row, column) in enumerate(pairs):
+        data[i * n + i:i * n + i + len(row)] = row
+        data[i * n + i:(i + len(column)) * n:n] = column
+    return ExactMatrix._of_fractions(n, n, data)

@@ -118,7 +118,7 @@ def sine_ratio_sign(n: int, k: int) -> int:
     1e-9.  k multiples of N+1 make both sines vanish.
     """
     if n % 2 or n < 2:
-        raise ValueError("N must be a positive even integer")
+        raise InvalidSize("N must be a positive even integer")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k % (n + 1) == 0:
@@ -139,7 +139,7 @@ def parity_zero_sum(n: int, q: int) -> float:
     pairing (expected ~0).
     """
     if n % 2 or n < 2:
-        raise ValueError("N must be a positive even integer")
+        raise InvalidSize("N must be a positive even integer")
     if not 1 <= 2 * q <= n:
         raise ValueError("need 1 <= 2q <= N")
     np1 = n + 1

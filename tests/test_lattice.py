@@ -1,5 +1,7 @@
 """Kronecker-sum lattices, spectra and the spectral Green's function."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,18 @@ def test_lattice_eigenvalue_examples():
         == pytest.approx(0.0, abs=1e-15)
     assert lattice_eigenvalue(LatticeSpec(1, 2), MultiIndex((1,))) \
         == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_eigenvalue_is_its_spectrum_entry(d):
+    # Both add the chain's eigenvalues left to right; the built-in sum()
+    # would compensate from Python 3.12 on.
+    for n in range(1, 13):
+        spec = LatticeSpec(d, n)
+        lam = lattice_spectrum(spec)
+        for k in itertools.product(range(1, n + 1), repeat=d):
+            value = lattice_eigenvalue(spec, MultiIndex(k))
+            assert value.hex() == float(lam[tuple(c - 1 for c in k)]).hex()
 
 
 def test_spectrum_multiset_matches_numeric():

@@ -17,8 +17,12 @@ def test_traced_requests_record_spans(monkeypatch):
     with spans.instrumented(tracer):
         det = spans.cli_main(["det", "--topology", "cyclic", "--n", "6"])
         report = spans.cli_main(["verify", "--suite", "cyclic", "--max-n", "4"])
+        usmani = spans.cli_main(["green", "--topology", "open", "--n", "8",
+                                 "--method", "usmani"])
     assert det[:2] == (0, "-4\n")
     assert report[0] == 0
+    assert usmani[0] == 0
     names = {span[1] for span in tracer.spans}
     assert {"circulant.det_cyclic", "output.write", "verify.suite_cyclic",
-            "exact.det_fraction_free"} <= names
+            "exact.det_fraction_free", "tridiagonal.usmani_inverse",
+            "output.matrix_rows", "exact.to_lists"} <= names

@@ -156,37 +156,50 @@ def test_usmani_matches_gauss_jordan_oracle():
     assert product == identity
 
 
-def _random_spec(rng, n, zero_bond):
-    """Nonzero diagonal; each bond's sub and sup drawn separately, zero with
-    probability ``zero_bond``, so a zero may face a nonzero across the bond."""
+def _random_spec(rng, n, zero_bond, symmetric=False):
+    """Nonzero diagonal; each bond zero with probability ``zero_bond``.
+    Unless ``symmetric`` (sup = sub), each bond's sub and sup are drawn
+    separately, so a zero may face a nonzero across the bond."""
     def value():
         return F(rng.choice([x for x in range(-7, 8) if x]), rng.randint(1, 6))
 
     def bond():
         return F(0) if rng.random() < zero_bond else value()
-    return TridiagonalSpec(tuple(bond() for _ in range(n - 1)),
-                           tuple(value() for _ in range(n)),
-                           tuple(bond() for _ in range(n - 1)))
+    sub = tuple(bond() for _ in range(n - 1))
+    diag = tuple(value() for _ in range(n))
+    sup = sub if symmetric else tuple(bond() for _ in range(n - 1))
+    return TridiagonalSpec(sub, diag, sup)
 
 
 def _assert_matches_gauss_jordan(spec):
+    """The whole inverse and every single entry, with and without the
+    tables passed, against the oracle; both refuse a singular spec."""
     rows = spec_rows(spec)
     try:
         expected = gauss_jordan_inverse(rows)
     except StopIteration:       # the oracle found no pivot: singular
         with pytest.raises(SingularMatrix):
             usmani_inverse(spec)
+        with pytest.raises(SingularMatrix):
+            usmani_entry(spec, 1, spec.n)
         return False
     assert usmani_inverse(spec).to_lists() == expected
+    tables = theta_phi(spec)
+    sites = range(1, spec.n + 1)
+    assert [[usmani_entry(spec, r, s, tables) for s in sites]
+            for r in sites] == expected
+    assert usmani_entry(spec, spec.n, 1) == expected[-1][0]
     return True
 
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_usmani_matches_gauss_jordan_on_random_specs(n):
     rng = random.Random(7000 + n)
-    invertible = sum(_assert_matches_gauss_jordan(_random_spec(rng, n, zero))
-                     for zero in (0.0, 0.25, 0.5))
-    assert invertible >= 2
+    zeros = (0.0, 0.25, 0.5)
+    general = [_random_spec(rng, n, zero) for zero in zeros]
+    symmetric = [_random_spec(rng, n, zero, symmetric=True) for zero in zeros]
+    assert sum(map(_assert_matches_gauss_jordan, general)) >= 2
+    assert sum(map(_assert_matches_gauss_jordan, symmetric)) >= 2
 
 
 @pytest.mark.parametrize("sub,sup", [
