@@ -29,14 +29,14 @@ from .errors import (AlternatingOddN, BudgetExhausted, CycleTooSmall,
                      DegenerateAngle, EnergyAtPole, HueckelError,
                      IllConditioned, IndexOutOfRange, InvalidSize,
                      NearSingularAngle,
-                     NotSingular, NotSymmetric, NumericallySingular,
+                     NotSingular, NumericallySingular,
                      SingularLattice, SingularMatrix, TooLarge,
                      UnsupportedCouplings, ZeroCoupling)
 from .exact import ExactMatrix, det_fraction_free, inverse_exact, mat_vec
 from .lattice import (LatticeSpec, MultiIndex, build_lattice_hamiltonian,
                       flatten, lattice_eigenvalue, lattice_green_entry,
                       lattice_green_matrix, lattice_spectrum, unflatten)
-from .oracle import lu_inverse, symmetric_eigenvalues
+from .oracle import lu_inverse
 from .tridiagonal import (ThetaPhiTables, TridiagonalSpec, theta_phi,
                           usmani_entry, usmani_inverse)
 from .trig import (direct_green_matrix, direct_green_sum, kahan_sum,

@@ -224,6 +224,11 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # An exact entry can have more digits than Python's int-to-str limit
+    # (4 300 by default since 3.10.7), so the command runs without it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _DISPATCH[args.command](args)
     except HueckelError as err:
@@ -232,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return err.exit_code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -53,10 +53,6 @@ class NotSingular(HueckelError):
     """Kernel requested for a matrix that is invertible."""
 
 
-class NotSymmetric(HueckelError):
-    """Symmetric eigensolver fed a non-symmetric matrix."""
-
-
 class NearSingularAngle(HueckelError):
     """Closed-form trigonometric sum evaluated too close to a pole of the
     formula (sin(theta/2) ~ 0)."""

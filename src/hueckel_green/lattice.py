@@ -29,6 +29,9 @@ if TYPE_CHECKING:
 
 MAX_DENSE_SITES = 4096
 _WITNESS_BUDGET = 500_000
+# OpenBLAS runs a GEMM of at most 65 536 * GEMM_MULTITHREAD_THRESHOLD (4)
+# multiply-adds on the calling thread (interface/gemm.c).
+_ONE_THREAD_GEMM = 1 << 18
 
 
 class LatticeSpec(namedtuple("LatticeSpec", "dim linear_size")):
@@ -185,16 +188,25 @@ def lattice_green_entry(spec: LatticeSpec, r: MultiIndex, s: MultiIndex) -> floa
 
 
 def lattice_green_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Dense G_d = -H_d^{-1} via the eigenbasis, one GEMM per axis.
+    """Dense G_d = -H_d^{-1} via the eigenbasis, one batched GEMM per axis.
 
     The d-fold tensor-product eigenvector matrix is never materialized.
-    With P[k, (a, b)] = q[a, k] q[b, k] built once, each axis of the
-    reciprocal-eigenvalue tensor is contracted as one matrix product
-    x^T P, which consumes the leading mode axis and appends that axis's
-    (row, col) pair.  Before the last axis the pairs are transposed once to
-    (k_d, a_1..a_{d-1}, b_1..b_{d-1}), 1/N of the output's size; the last
-    product then runs one row block a_1..a_{d-1} at a time, each written
-    straight into its place in G, so no output-sized temporary exists.
+    With the pair table P[a, k, b] = q[a, k] q[b, k], each axis contracts
+    the leading mode index k of the reciprocal-eigenvalue tensor: laid out
+    as (a_1..a_t, k, rest) it becomes (a_1..a_t, a, rest, b), so after the
+    last axis the tensor is G, rows (a_1..a_d) by columns (b_1..b_d), and
+    the last product writes it in place.  Every product is one
+    (N^{d-1} x N)(N x N) GEMM.  For every invertible lattice within the
+    dense limit that is at most 2^18 multiply-adds, which OpenBLAS runs on
+    the calling thread; it hands larger products to worker threads, whose
+    busy wait after each call costs CPU time and saves no wall time here.
+
+    In 1-D the pair table would hold N^3 floats, so G is built in row
+    blocks of (q diag(x)) q^T of at most 2^18 multiply-adds, or one row at
+    a time above N = 512; BLAS may spread such a row over its threads.
+
+    Cost: O(N^{2d+1}) flops on one thread; memory of the output plus
+    O(N^{2d-1}), and at d = 1 the N x N eigenbasis.
     """
     import numpy as np
 
@@ -204,15 +216,20 @@ def lattice_green_matrix(spec: LatticeSpec) -> np.ndarray:
     _require_invertible(spec)
     n, d = spec.linear_size, spec.dim
     chain = _axis(spec)
-    q = np.array([_mode_row(chain, r) for r in range(1, n + 1)])
-    pairs = (q[:, None, :] * q[None, :, :]).reshape(n * n, n).T
+    q = np.empty((n, n))
+    for r in range(n):
+        q[r] = _mode_row(chain, r + 1)
     x = -1.0 / lattice_spectrum(spec)
-    for _ in range(d - 1):
-        x = x.reshape(n, -1).T @ pairs
-    side = n ** (d - 1)
-    order = [0, *range(1, 2 * d - 1, 2), *range(2, 2 * d - 1, 2)]
-    x = x.reshape((n,) * (2 * d - 1)).transpose(order).reshape(n, side, side)
-    g = np.empty((side, n, side, n))
-    for a in range(side):
-        g[a] = (x[:, a].T @ pairs).reshape(side, n, n).transpose(1, 0, 2)
-    return g.reshape(spec.total_sites, spec.total_sites)
+    if d == 1:
+        g = np.empty((n, n))
+        rows = max(1, _ONE_THREAD_GEMM // (n * n))
+        for r in range(0, n, rows):
+            np.matmul(q[r:r + rows] * x, q.T, out=g[r:r + rows])
+        return g
+    pairs = q[:, :, None] * q.T
+    rest = n ** (d - 1)
+    for t in range(d):
+        head = n ** t
+        x = np.matmul(x.reshape(head, n, rest).transpose(0, 2, 1)[:, None],
+                      pairs, out=np.empty((head, n, rest, n)))
+    return x.reshape(spec.total_sites, spec.total_sites)

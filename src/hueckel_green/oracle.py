@@ -5,34 +5,18 @@ pivoting, run in plain Python over each row's nonzeros.  Partial pivoting
 is not optional here: the chain Hamiltonians have zero diagonals, so
 unpivoted elimination dies on the first step.  A chain or ring has about
 2N nonzeros, so the factorization is O(N) and the inverse, which has N^2
-entries, is O(N^2); the module imports numpy only for
-`symmetric_eigenvalues` and `as_float_matrix`.
+entries, is O(N^2).  The module does not import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING
 
-from .errors import NotSymmetric, NumericallySingular
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import NumericallySingular
 
 CONDITION_LIMIT = 1e12
 _PIVOT_TOL = 1e-12
-
-
-def as_float_matrix(m) -> np.ndarray:
-    import numpy as np
-
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("matrix expected")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("entries must be finite")
-    return a
 
 
 def _nonzero_rows(m) -> list[dict[int, float]]:
@@ -164,13 +148,3 @@ def _combine(terms: list[tuple[int, float]],
     for j, x in rest:
         acc = [a + x * y for a, y in zip(acc, rhs[j])]
     return acc
-
-
-def symmetric_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    import numpy as np
-
-    a = as_float_matrix(m)
-    if a.shape[0] != a.shape[1] or np.max(np.abs(a - a.T), initial=0.0) > 1e-12:
-        raise NotSymmetric("input is not symmetric to 1e-12")
-    return np.linalg.eigvalsh(a)

@@ -183,6 +183,25 @@ def long_division_divisible(m: int, coeffs) -> bool:
     return not any(work)
 
 
+class NotSymmetric(ValueError):
+    """`symmetric_eigenvalues` was given a matrix that is not symmetric."""
+
+
+def symmetric_eigenvalues(m):
+    """All eigenvalues of a symmetric matrix, ascending, by LAPACK's
+    `eigvalsh`; refuses non-finite, non-square and non-symmetric input."""
+    import numpy as np
+
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("matrix expected")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries must be finite")
+    if a.shape[0] != a.shape[1] or np.max(np.abs(a - a.T), initial=0.0) > 1e-12:
+        raise NotSymmetric("input is not symmetric to 1e-12")
+    return np.linalg.eigvalsh(a)
+
+
 def vectorized_eigensystem(n: int, cyclic: bool):
     """(eigenvalues, eigenvectors) of the uniform chain by numpy's ufuncs.
 

@@ -24,9 +24,10 @@ from hueckel_green import (ChainSpec, SingularMatrix, Topology,
                            lattice_spectrum, lu_inverse, mat_vec,
                            build_lattice_hamiltonian, sine_ratio_sign,
                            sum_cos, sum_sin, symbol_factorization_inverse,
-                           symmetric_eigenvalues, usmani_inverse, kahan_sum)
+                           usmani_inverse, kahan_sum)
 
-from oracles import gauss_jordan_inverse, naive_green_sum
+from oracles import (gauss_jordan_inverse, naive_green_sum,
+                     symmetric_eigenvalues)
 
 F = Fraction
 ALLOWED_OPEN = {F(-1), F(0), F(1)}

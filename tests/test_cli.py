@@ -411,3 +411,32 @@ def test_odd_ring_with_equal_couplings_is_not_singular():
                                     "5", "--alpha", "2", "--beta", "2")
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "-1/4,-1/4,1/4,1/4,-1/4"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("transmission", [False, True])
+def test_long_exact_entry_is_written_in_full(fmt, transmission):
+    # Regression: G(N, 1) = 3 * 6^(N/2 - 1) has 4 670 digits at N = 12 000,
+    # past Python's default int-to-str limit of 4 300, and the request
+    # ended in a ValueError traceback and exit 1.
+    limit = sys.get_int_max_str_digits()
+    extra = ("--transmission",) if transmission else ()
+    code, out, err = run_in_process(
+        "green", "--topology", "open", "--n", "12000", "--alpha=2",
+        "--beta=1/3", "--r", "12000", "--s", "1", "--format", fmt, *extra)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    value = 3 * 6 ** 5999
+    if transmission:
+        value *= value
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if fmt == "csv":
+        assert out == digits + "\n"
+    else:
+        assert out == f'{{"kind": "scalar", "value": {digits}, "exact": true}}\n'

@@ -1,18 +1,20 @@
 """Kronecker-sum lattices, spectra and the spectral Green's function."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hueckel_green import (ChainSpec, IndexOutOfRange, LatticeSpec,
-                           MultiIndex, SingularLattice, TooLarge, Topology,
-                           build_hamiltonian, build_lattice_hamiltonian,
+from hueckel_green import (ChainSpec, IndexOutOfRange, InvertibilityQuery,
+                           LatticeSpec, MultiIndex, SingularLattice, TooLarge,
+                           Topology, build_hamiltonian,
+                           build_lattice_hamiltonian,
                            cosine_sum_is_zero_exact, flatten, green_matrix,
-                           lattice_eigenvalue, lattice_green_entry,
-                           lattice_green_matrix, lattice_spectrum,
-                           symmetric_eigenvalues, unflatten)
-from oracles import einsum_lattice_green_matrix
+                           is_invertible, lattice, lattice_eigenvalue,
+                           lattice_green_entry, lattice_green_matrix,
+                           lattice_spectrum, unflatten)
+from oracles import einsum_lattice_green_matrix, symmetric_eigenvalues
 
 
 def kron_sum_oracle(d: int, n: int) -> np.ndarray:
@@ -162,8 +164,9 @@ def apply_lattice_hamiltonian(g: np.ndarray, d: int, n: int) -> np.ndarray:
     return out.reshape(g.shape)
 
 
-@pytest.mark.parametrize("d,n", [(1, 2), (1, 8), (1, 16), (3, 2), (3, 4),
-                                 (3, 6), (3, 10), (3, 12), (3, 16)])
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 8), (1, 16), (1, 64), (1, 256),
+                                 (3, 2), (3, 4), (3, 6), (3, 10), (3, 12),
+                                 (3, 16)])
 def test_green_matrix_gemm_matches_einsum(d, n):
     spec = LatticeSpec(d, n)
     g = lattice_green_matrix(spec)
@@ -172,6 +175,51 @@ def test_green_matrix_gemm_matches_einsum(d, n):
     residual = apply_lattice_hamiltonian(g, d, n)
     residual.flat[::spec.total_sites + 1] += 1.0        # H G + I
     assert float(np.max(np.abs(residual))) <= 1e-10
+
+
+def dense_invertible_lattices():
+    """Every invertible (d, N) with at most 4 096 sites, except that in 1-D,
+    where every block above N = 512 is one row, N stops at 1 024 and then
+    takes only 2 048 and 4 096."""
+    cases = [(1, n) for n in (*range(2, 1025, 2), 2048, 4096)]
+    for d in range(2, 13):
+        cases += [(d, n) for n in range(1, 65) if n ** d <= 4096
+                  and is_invertible(InvertibilityQuery(d, n + 1))]
+    return cases
+
+
+def test_green_matrix_products_stay_on_one_thread(monkeypatch):
+    # OpenBLAS runs a GEMM of at most 2^18 multiply-adds on the calling
+    # thread.  Shapes only: the products are recorded, not computed.
+    products = []
+
+    def matmul(a, b, out):
+        products.append((a.shape[-2], a.shape[-1], b.shape[-1], out.size))
+        return out
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    monkeypatch.setattr(lattice, "_mode_row", lambda chain, r: 0.0)
+    cases = dense_invertible_lattices()
+    assert {d for d, _ in cases} == {1, 3, 5, 7, 9, 11}
+    for d, n in cases:
+        products.clear()
+        lattice_green_matrix(LatticeSpec(d, n))
+        for m, k, cols, _ in products:
+            assert m * k * cols <= 1 << 18 or (d == 1 and m == 1), (d, n)
+        # every multiply-add of the route went through a recorded product
+        expected = n ** 3 if d == 1 else sum(n ** (d + t + 2) for t in range(d))
+        assert sum(k * size for _, k, _, size in products) == expected
+
+
+def test_one_dimensional_green_matrix_memory():
+    # G is 0.5 MB; a pair table of N^3 floats would be 134 MB
+    tracemalloc.start()
+    try:
+        lattice_green_matrix(LatticeSpec(1, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_green_matrix_rejects_even_dimension():

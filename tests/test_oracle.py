@@ -5,13 +5,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from oracles import dense_lu_inverse
+from oracles import NotSymmetric, dense_lu_inverse, symmetric_eigenvalues
 
-from hueckel_green import (ChainSpec, HueckelError, LatticeSpec, NotSymmetric,
+from hueckel_green import (ChainSpec, HueckelError, LatticeSpec,
                            NumericallySingular, Topology,
                            build_hamiltonian, build_lattice_hamiltonian,
-                           green_matrix, lattice_spectrum, lu_inverse,
-                           symmetric_eigenvalues)
+                           green_matrix, lattice_spectrum, lu_inverse)
 from hueckel_green.chains import float_rows
 
 

@@ -12,9 +12,9 @@ from hueckel_green import (BudgetExhausted, CosineWitness, InvertibilityQuery,
                            build_lattice_hamiltonian, cosine_sum_is_zero_exact,
                            cyclotomic_polynomial, find_vanishing_witness,
                            is_invertible, roots_of_unity_sum_is_zero,
-                           smallest_prime_divisor, symmetric_eigenvalues,
-                           vanishing_sums)
-from oracles import float_pruned_witness, long_division_divisible
+                           smallest_prime_divisor, vanishing_sums)
+from oracles import (float_pruned_witness, long_division_divisible,
+                     symmetric_eigenvalues)
 
 
 def test_cosine_zero_examples():

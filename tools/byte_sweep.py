@@ -46,9 +46,13 @@ Then the spectral matrices on both sides of the 128 sites up to which
 they are summed without numpy: `green --method spectral` on uniform open
 chains with N = 86-94 and 124-132 and rings with N = 31-39 and 125-131
 (the ring sizes 4k exit 4), in CSV and JSON, with and without
-`--transmission`.  Last of all, the verify sizes of the benchmark:
-`--suite open` at `--max-n` 29-31, `lattice` at 22-26, `trig` at 43-47
-and `all` at 50.
+`--transmission`.  Then the verify sizes of the benchmark: `--suite
+open` at `--max-n` 29-31, `lattice` at 22-26, `trig` at 43-47 and `all`
+at 50.  Last of all, exact entries longer than Python's default
+int-to-str limit of 4 300 digits: `green --method closed|usmani` on open
+chains with N = 10 000 and 12 000 and (beta, alpha) = (1/3, 2), the entry
+`--r N --s 1` (3 * 6^(N/2 - 1)), in CSV and JSON, with and without
+`--transmission`.
 
 For a `verify` request that differs, the sweep also lists the report rows
 (check ids, and `all`) whose text differs, and says whether only their
@@ -103,6 +107,7 @@ SPECTRAL_MATRIX_SIZES = {"open": (*range(86, 95), *range(124, 133)),
                          "cyclic": (*range(31, 40), *range(125, 132))}
 BENCHMARK_VERIFY_SIZES = {"open": range(29, 32), "lattice": range(22, 27),
                           "trig": range(43, 48), "all": (50,)}
+LONG_ENTRY_SIZES = (10_000, 12_000)
 
 
 def grid() -> list[list[str]]:
@@ -196,6 +201,13 @@ def grid() -> list[list[str]]:
     for suite, sizes in BENCHMARK_VERIFY_SIZES.items():
         for max_n in sizes:
             requests.append(["verify", "--suite", suite, "--max-n", str(max_n)])
+    for n in LONG_ENTRY_SIZES:
+        for method in ("closed", "usmani"):
+            for fmt in ("csv", "json"):
+                entry = ["green", "--topology", "open", "--n", str(n),
+                         "--beta=1/3", "--alpha=2", "--method", method,
+                         "--r", str(n), "--s", "1", "--format", fmt]
+                requests.extend([entry, entry + ["--transmission"]])
     return requests
 
 
