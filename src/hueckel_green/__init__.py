@@ -21,10 +21,8 @@ from .chains import (ChainSpec, Topology, build_hamiltonian,
 from .circulant import (CirculantSpec, circulant_inverse_dft,
                         cyclic_inverse_first_column, cyclic_kernel_basis,
                         det_cyclic, symbol_factorization_inverse)
-from .closed_form import (GreenEntryQuery, det_open, green_bond_alternating,
-                          green_cyclic, green_cyclic_bond_alternating,
-                          green_entry, green_matrix, green_open,
-                          harmonic_sum_identity_check)
+from .closed_form import (GreenEntryQuery, det_open, green_entry,
+                          green_matrix, harmonic_sum_identity_check)
 from .errors import (AlternatingOddN, BudgetExhausted, CycleTooSmall,
                      DegenerateAngle, EnergyAtPole, HueckelError,
                      IllConditioned, IndexOutOfRange, InvalidSize,

@@ -165,7 +165,7 @@ def _gaps(spec: ChainSpec, energy: float) -> list[float]:
     """E - eps_k for every mode, refusing an energy on the spectrum."""
     gaps = [energy - eps for eps in _eigenvalues(spec)]
     nearest = min(map(abs, gaps))
-    if nearest < 1e-9:
+    if not nearest >= 1e-9:    # a NaN energy fails this too
         raise EnergyAtPole(
             f"E={energy} within 1e-9 of an eigenvalue (gap {nearest:.3e})")
     return gaps

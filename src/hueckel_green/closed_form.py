@@ -9,7 +9,8 @@ G(r, s) = G(s, r), canonicalizing to r >= s first.
 Each form is a per-chain kernel: it validates the spec once, builds the
 form's constants (the sign pattern, the mod-4 ring pattern, or the
 alpha/beta powers, each formed on first use), and returns an O(1) entry
-function.  Single entries and `green_matrix` call the same kernel.
+function.  `_entry_kernel` picks the kernel from the spec, and the two
+public entry points, `green_entry` and `green_matrix`, both call it.
 
 The forms need N >= 3 on a ring and nonzero couplings: the 2-site ring and
 an even chain or ring with a zero coupling are refused (exit 3 in the CLI),
@@ -24,7 +25,7 @@ from typing import Callable
 
 from .chains import ChainSpec, Topology
 from .errors import (CycleTooSmall, IndexOutOfRange, InvalidSize,
-                     SingularMatrix, UnsupportedCouplings, ZeroCoupling)
+                     SingularMatrix, ZeroCoupling)
 from .exact import ExactMatrix, Rational, guard_dense
 from .trig import direct_green_sum
 
@@ -62,8 +63,8 @@ EntryFn = Callable[[int, int], Rational]
 
 
 def _open_kernel(spec: ChainSpec) -> EntryFn:
-    if not spec.is_uniform:
-        raise UnsupportedCouplings("green_open needs unit couplings")
+    """Uniform open chain, N even: G(r, s) = (-1)^((r+s-1)/2) where r and s
+    have opposite parity and the even index exceeds the odd one, else 0."""
     if spec.n_sites % 2:
         raise SingularMatrix("N odd", n=spec.n_sites)
 
@@ -91,8 +92,8 @@ def _signed_powers(base: Rational, divisor: Rational) -> Callable[[int], tuple]:
 
 
 def _alternating_open_kernel(spec: ChainSpec) -> EntryFn:
-    if spec.topology is not Topology.OPEN:
-        raise UnsupportedCouplings("open-chain formula")
+    """Open chain with couplings beta, alpha, beta, ...: (alpha/beta) powers
+    under parity brackets, reducing to `_open_kernel` at unit couplings."""
     if spec.n_sites % 2:
         raise SingularMatrix("N odd", n=spec.n_sites)
     beta, alpha = spec.coupling_odd, spec.coupling_even
@@ -109,10 +110,8 @@ def _alternating_open_kernel(spec: ChainSpec) -> EntryFn:
 
 
 def _cyclic_kernel(spec: ChainSpec) -> EntryFn:
-    if spec.topology is not Topology.CYCLIC:
-        raise UnsupportedCouplings("cyclic formula")
-    if not spec.is_uniform:
-        raise UnsupportedCouplings("green_cyclic needs unit couplings")
+    """Uniform ring, N not 4k: the inverse is circulant, and G(r, s) is 0 or
+    +-1/2 by the residue mod 4 of (r - s) mod N (`CYCLIC_PATTERNS`)."""
     n = spec.n_sites
     if n < 3:
         raise CycleTooSmall("cyclic Green's function needs N >= 3")
@@ -126,8 +125,10 @@ def _cyclic_kernel(spec: ChainSpec) -> EntryFn:
 
 
 def _alternating_cyclic_kernel(spec: ChainSpec) -> EntryFn:
-    if spec.topology is not Topology.CYCLIC:
-        raise UnsupportedCouplings("cyclic formula")
+    """Ring with couplings beta, alpha, ..., N even >= 4: the four-term form,
+    each entry read from the even site by G(r, s) = G(s, r).  Its geometric
+    denominators 1 - (-alpha/beta)^(N/2) and 1 - (-beta/alpha)^(N/2) vanish
+    together, at equal couplings when N = 4k."""
     n = spec.n_sites
     beta, alpha = spec.coupling_odd, spec.coupling_even
     if n % 2:
@@ -144,7 +145,6 @@ def _alternating_cyclic_kernel(spec: ChainSpec) -> EntryFn:
         raise CycleTooSmall("cyclic bond alternation needs N >= 4")
     if beta == 0 or alpha == 0:
         raise ZeroCoupling("couplings must be nonzero")
-    # 1 - (-beta/alpha)^(N/2) vanishes exactly when this denominator does
     den = 1 - (-alpha / beta) ** (n // 2)
     if den == 0:
         case = "N=4k" if alpha == beta else "alternating denominator"
@@ -170,47 +170,6 @@ def _entry_kernel(spec: ChainSpec) -> EntryFn:
     if spec.is_uniform:
         return _cyclic_kernel(spec)
     return _alternating_cyclic_kernel(spec)
-
-
-def green_open(q: GreenEntryQuery) -> Rational:
-    """Uniform open chain, N even: entries are 0 or +-1.
-
-    Nonzero exactly when r and s have opposite parity and the even index
-    exceeds the odd one, with value (-1)^((r+s-1)/2); all same-parity
-    entries vanish (alternancy).
-    """
-    return _open_kernel(q.spec)(q.r, q.s)
-
-
-def green_bond_alternating(q: GreenEntryQuery) -> Rational:
-    """Open chain with alternating couplings beta, alpha, beta, ...
-
-    Two-branch closed form with (alpha/beta) powers and parity brackets;
-    reduces to `green_open` when both couplings are one.
-    """
-    return _alternating_open_kernel(q.spec)(q.r, q.s)
-
-
-def green_cyclic(q: GreenEntryQuery) -> Rational:
-    """Uniform cycle, N not a multiple of 4: entries are 0 or +-1/2.
-
-    The inverse is circulant, so the entry only depends on (r - s) mod N,
-    and within that only on its residue mod 4 (`CYCLIC_PATTERNS`).
-    """
-    return _cyclic_kernel(q.spec)(q.r, q.s)
-
-
-def green_cyclic_bond_alternating(q: GreenEntryQuery) -> Rational:
-    """Cycle with alternating couplings (N even, N >= 4).
-
-    Four-term closed form.  Its two geometric denominators
-    1 - (-alpha/beta)^(N/2) and 1 - (-beta/alpha)^(N/2) vanish together, so
-    the first is checked exactly; it reproduces the N = 4k singularity at
-    equal couplings.  By G(r, s) = G(s, r) every entry is the term read
-    from the even site.  An odd ring has equal couplings t, and its entries
-    are the uniform ring's divided by t.
-    """
-    return _alternating_cyclic_kernel(q.spec)(q.r, q.s)
 
 
 def green_entry(q: GreenEntryQuery) -> Rational:
@@ -242,5 +201,5 @@ def harmonic_sum_identity_check(n: int, r: int, s: int) -> tuple[float, Rational
     if n % 2:
         raise SingularMatrix("N odd", n=n)
     spec = ChainSpec(Topology.OPEN, n)
-    exact = green_open(GreenEntryQuery(spec, r, s))
+    exact = green_entry(GreenEntryQuery(spec, r, s))
     return direct_green_sum(n, r, s), exact

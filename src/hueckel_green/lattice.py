@@ -14,6 +14,7 @@ flat = sum_i (k_i - 1) N^(d-i) + 1.  Open boundaries only.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -51,13 +52,20 @@ class LatticeSpec(namedtuple("LatticeSpec", "dim linear_size")):
         return self.linear_size ** self.dim
 
 
+def _coordinate(c) -> int:
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise IndexOutOfRange(f"coordinate {c!r} is not an integer") from None
+
+
 class MultiIndex(namedtuple("MultiIndex", "coords")):
     """Per-axis coordinates (k_1, ..., k_d), each 1-based."""
 
     __slots__ = ()
 
     def __new__(cls, coords: tuple[int, ...]):
-        return super().__new__(cls, tuple(int(c) for c in coords))
+        return super().__new__(cls, tuple(map(_coordinate, coords)))
 
 
 def _check_index(spec: LatticeSpec, mi: MultiIndex) -> None:

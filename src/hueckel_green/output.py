@@ -49,7 +49,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if any(c in text for c in ".eE"):
         raise ValueError(f"exact rational expected (got {text!r}); write p/q")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _json_rational(x: Fraction) -> str:

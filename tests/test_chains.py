@@ -12,7 +12,7 @@ from hueckel_green import (AlternatingOddN, ChainSpec, CycleTooSmall,
                            EnergyAtPole, ExactMatrix, GreenEntryQuery,
                            IndexOutOfRange, TooLarge, Topology,
                            UnsupportedCouplings, build_hamiltonian,
-                           green_matrix, green_open, spectral_resolvent_entry,
+                           green_entry, green_matrix, spectral_resolvent_entry,
                            spectral_resolvent_matrix, transmission_proxy)
 from hueckel_green.chains import _eigenvalues, _mode_row, _pairwise_sum
 
@@ -132,7 +132,7 @@ def test_resolvent_two_sites_off_diagonal():
     spec = ChainSpec(Topology.OPEN, 2)
     value = spectral_resolvent_entry(spec, 1, 2, 0.0)
     assert value == pytest.approx(-1.0, abs=1e-12)
-    assert value == pytest.approx(float(green_open(GreenEntryQuery(spec, 1, 2))),
+    assert value == pytest.approx(float(green_entry(GreenEntryQuery(spec, 1, 2))),
                                   abs=1e-12)
 
 
@@ -153,6 +153,18 @@ def test_resolvent_pole_near_eigenvalue():
         spectral_resolvent_entry(ChainSpec(Topology.OPEN, 2), 1, 2, 1.0 + 5e-10)
     assert str(err.value) == (
         "E=1.0000000005 within 1e-9 of an eigenvalue (gap 5.000e-10)")
+
+
+def test_resolvent_refuses_nan_energy():
+    # Regression: a NaN gap passed the pole screen and gave a NaN G.
+    spec = ChainSpec(Topology.OPEN, 4)
+    with pytest.raises(EnergyAtPole):
+        spectral_resolvent_entry(spec, 1, 2, float("nan"))
+    with pytest.raises(EnergyAtPole):
+        spectral_resolvent_matrix(spec, float("nan"))
+    for energy in (float("inf"), float("-inf")):
+        assert spectral_resolvent_entry(spec, 1, 2, energy) == 0.0
+        assert spectral_resolvent_matrix(spec, energy) == [[0.0] * 4] * 4
 
 
 GUARD = "1025x1025 matrix (1050625 cells) exceeds the memory guard (1048576)"

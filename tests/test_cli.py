@@ -145,6 +145,21 @@ def test_float_coupling_rejected_as_usage_error():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["build", "green"])
+@pytest.mark.parametrize("coupling,flag", [
+    (("--alpha", "1/0"), "--alpha"),
+    (("--beta=0/0",), "--beta"),
+    (("--alpha=-3/0",), "--alpha"),
+])
+def test_zero_denominator_coupling_is_a_usage_error(command, coupling, flag):
+    # Regression: Fraction's ZeroDivisionError escaped argparse, which
+    # ended in a traceback and exit 1.
+    result = run_cli(command, "--topology", "open", "--n", "4", *coupling)
+    assert result.returncode == 2
+    assert f"error: argument {flag}: invalid" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_all_small_exit_zero():
     result = run_cli("verify", "--suite", "all", "--max-n", "12")
     assert result.returncode == 0

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from hueckel_green import (ChainSpec, CycleTooSmall, ExactMatrix,
                            GreenEntryQuery, SingularMatrix, Topology,
-                           UnsupportedCouplings, ZeroCoupling,
-                           build_hamiltonian, cyclic_inverse_first_column,
-                           det_fraction_free, det_open,
-                           green_bond_alternating, green_cyclic,
-                           green_cyclic_bond_alternating, green_entry,
-                           green_matrix, green_open,
+                           ZeroCoupling, build_hamiltonian,
+                           cyclic_inverse_first_column, det_fraction_free,
+                           det_open, green_entry, green_matrix,
                            harmonic_sum_identity_check)
+from hueckel_green.closed_form import (_alternating_cyclic_kernel,
+                                       _alternating_open_kernel)
 
 from oracles import (cofactor_inverse, gauss_jordan_inverse, identity_rows,
                      multiply)
@@ -55,7 +54,7 @@ def test_det_open_matches_fraction_free():
 
 @pytest.mark.parametrize("r,s,expected", [(2, 1, -1), (4, 1, 1), (3, 5, 0)])
 def test_green_open_entries(r, s, expected):
-    assert green_open(open_query(6, r, s)) == expected
+    assert green_entry(open_query(6, r, s)) == expected
 
 
 def test_green_open_six_site_pattern():
@@ -65,7 +64,7 @@ def test_green_open_six_site_pattern():
 
 def test_green_open_odd_is_singular():
     with pytest.raises(SingularMatrix) as err:
-        green_open(open_query(5, 1, 2))
+        green_entry(open_query(5, 1, 2))
     assert err.value.case == "N odd"
 
 
@@ -75,8 +74,8 @@ def test_green_open_symmetry_and_alternancy(n, r, s):
     n = 2 * n
     r = (r - 1) % n + 1
     s = (s - 1) % n + 1
-    value = green_open(open_query(n, r, s))
-    assert value == green_open(open_query(n, s, r))
+    value = green_entry(open_query(n, r, s))
+    assert value == green_entry(open_query(n, s, r))
     if (r + s) % 2 == 0:
         assert value == 0
     else:
@@ -85,23 +84,23 @@ def test_green_open_symmetry_and_alternancy(n, r, s):
 
 def test_green_bond_alternating_two_sites():
     # invert [[0,2],[2,0]] directly: inverse (2,1) entry is 1/2, G = -1/2
-    assert green_bond_alternating(open_query(2, 2, 1, beta=2, alpha=7)) == F(-1, 2)
+    assert green_entry(open_query(2, 2, 1, beta=2, alpha=7)) == F(-1, 2)
 
 
 def test_green_bond_alternating_uniform_reduction():
     for r in range(1, 5):
         for s in range(1, 5):
-            assert (green_bond_alternating(open_query(4, r, s))
-                    == green_open(open_query(4, r, s)))
+            q = open_query(4, r, s)
+            assert _alternating_open_kernel(q.spec)(r, s) == green_entry(q)
 
 
 def test_green_bond_alternating_same_parity_zero():
-    assert green_bond_alternating(open_query(4, 3, 3, beta=3, alpha=5)) == 0
+    assert green_entry(open_query(4, 3, 3, beta=3, alpha=5)) == 0
 
 
 def test_green_bond_alternating_zero_coupling():
     with pytest.raises(ZeroCoupling):
-        green_bond_alternating(open_query(4, 2, 1, beta=0, alpha=0))
+        green_entry(open_query(4, 2, 1, beta=0, alpha=0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,12 +121,12 @@ def test_green_bond_alternating_matches_cofactor_oracle(data):
     (6, 1, 1, 0),
 ])
 def test_green_cyclic_entries(n, r, s, expected):
-    assert green_cyclic(cyclic_query(n, r, s)) == expected
+    assert green_entry(cyclic_query(n, r, s)) == expected
 
 
 def test_green_cyclic_multiple_of_four_singular():
     with pytest.raises(SingularMatrix) as err:
-        green_cyclic(cyclic_query(8, 1, 1))
+        green_entry(cyclic_query(8, 1, 1))
     assert err.value.case == "N=4k"
 
 
@@ -140,12 +139,13 @@ def test_green_cyclic_identity_exact():
 
 
 def test_green_cyclic_alternating_uniform_entry():
-    assert green_cyclic_bond_alternating(cyclic_query(6, 2, 1)) == F(-1, 2)
+    spec = ChainSpec(Topology.CYCLIC, 6)
+    assert _alternating_cyclic_kernel(spec)(2, 1) == F(-1, 2)
 
 
 def test_green_cyclic_alternating_uniform_four_singular():
     with pytest.raises(SingularMatrix) as err:
-        green_cyclic_bond_alternating(cyclic_query(4, 2, 1))
+        _alternating_cyclic_kernel(cyclic_query(4, 2, 1).spec)
     assert err.value.case == "N=4k"
 
 
@@ -156,13 +156,13 @@ def test_green_cyclic_alternating_four_sites_oracle():
     q = cyclic_query(4, 2, 1, beta=1, alpha=2)
     inv = cofactor_inverse(build_hamiltonian(q.spec).to_lists())
     assert inv[1][0] == F(-1, 3)
-    assert green_cyclic_bond_alternating(q) == F(1, 3)
-    assert green_cyclic_bond_alternating(q) == -inv[1][0]
+    assert green_entry(q) == F(1, 3)
+    assert green_entry(q) == -inv[1][0]
 
 
 def test_green_cyclic_alternating_two_sites_rejected():
     with pytest.raises(CycleTooSmall):
-        green_cyclic_bond_alternating(cyclic_query(2, 1, 2, beta=2, alpha=3))
+        green_entry(cyclic_query(2, 1, 2, beta=2, alpha=3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,8 +222,9 @@ def test_open_identity_and_uniform_reduction(n):
     assert multiply(build_hamiltonian(spec).to_lists(),
                     (-g).to_lists()) == identity_rows(n)
     # The alternating form at unit couplings reduces to the uniform pattern.
-    assert [[green_bond_alternating(GreenEntryQuery(spec, r, s))
-             for s in range(1, n + 1)] for r in range(1, n + 1)] == g.to_lists()
+    alternating = _alternating_open_kernel(spec)
+    assert [[alternating(r, s) for s in range(1, n + 1)]
+            for r in range(1, n + 1)] == g.to_lists()
 
 
 # Four closed forms: uniform open, alternating open, uniform ring,
@@ -265,23 +266,6 @@ def test_green_matrix_and_entry_error_parity(spec, error, message):
     with pytest.raises(error) as entry_err:
         green_entry(GreenEntryQuery(spec, 1, 2))
     assert str(matrix_err.value) == str(entry_err.value) == message
-
-
-@pytest.mark.parametrize("function,spec,message", [
-    (green_open, ChainSpec(Topology.OPEN, 4, 2, 3),
-     "green_open needs unit couplings"),
-    (green_bond_alternating, ChainSpec(Topology.CYCLIC, 6, 2, 3),
-     "open-chain formula"),
-    (green_cyclic, ChainSpec(Topology.OPEN, 6), "cyclic formula"),
-    (green_cyclic, ChainSpec(Topology.CYCLIC, 6, 2, 3),
-     "green_cyclic needs unit couplings"),
-    (green_cyclic_bond_alternating, ChainSpec(Topology.OPEN, 6),
-     "cyclic formula"),
-])
-def test_public_closed_forms_reject_foreign_specs(function, spec, message):
-    with pytest.raises(UnsupportedCouplings) as err:
-        function(GreenEntryQuery(spec, 1, 2))
-    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n", [n for n in range(3, 60) if n % 4] + [147, 198])

@@ -279,6 +279,19 @@ def test_multi_index_validation():
         lattice_green_entry(spec, MultiIndex((1, 4)), MultiIndex((1, 1)))
 
 
+@pytest.mark.parametrize("coordinate", [1.9, 2.0, "2", None])
+def test_multi_index_refuses_non_integer_coordinates(coordinate):
+    # Regression: int() truncated 1.9 to 1, so the (1.9, 1, 1) entry was
+    # silently the (1, 1, 1) one.
+    with pytest.raises(IndexOutOfRange, match=f"coordinate {coordinate!r}"):
+        MultiIndex((coordinate, 1, 1))
+
+
+def test_multi_index_keeps_integer_like_coordinates():
+    assert MultiIndex((np.int64(2), True, 3)).coords == (2, 1, 3)
+    assert type(MultiIndex((np.int64(2),)).coords[0]) is int
+
+
 def test_flattening_orders_the_spectrum_tensor():
     # lattice_spectrum axis order must match the flat site/mode convention
     spec = LatticeSpec(2, 3)

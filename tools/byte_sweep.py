@@ -52,7 +52,10 @@ at 50.  Last of all, exact entries longer than Python's default
 int-to-str limit of 4 300 digits: `green --method closed|usmani` on open
 chains with N = 10 000 and 12 000 and (beta, alpha) = (1/3, 2), the entry
 `--r N --s 1` (3 * 6^(N/2 - 1)), in CSV and JSON, with and without
-`--transmission`.
+`--transmission`.  And the couplings with a zero denominator, which
+argparse refuses with exit 2: `build` and `green --method closed` on the
+open chain N = 4 with `--alpha 1/0`, `--beta=0/0` and `--alpha=-3/0`, in
+CSV and JSON.
 
 For a `verify` request that differs, the sweep also lists the report rows
 (check ids, and `all`) whose text differs, and says whether only their
@@ -108,6 +111,7 @@ SPECTRAL_MATRIX_SIZES = {"open": (*range(86, 95), *range(124, 133)),
 BENCHMARK_VERIFY_SIZES = {"open": range(29, 32), "lattice": range(22, 27),
                           "trig": range(43, 48), "all": (50,)}
 LONG_ENTRY_SIZES = (10_000, 12_000)
+ZERO_DENOMINATORS = (("--alpha", "1/0"), ("--beta=0/0",), ("--alpha=-3/0",))
 
 
 def grid() -> list[list[str]]:
@@ -208,6 +212,12 @@ def grid() -> list[list[str]]:
                          "--beta=1/3", "--alpha=2", "--method", method,
                          "--r", str(n), "--s", "1", "--format", fmt]
                 requests.extend([entry, entry + ["--transmission"]])
+    for coupling in ZERO_DENOMINATORS:
+        for fmt in ("csv", "json"):
+            chain = ["--topology", "open", "--n", "4", *coupling,
+                     "--format", fmt]
+            requests.extend([["build", *chain],
+                             ["green", *chain, "--method", "closed"]])
     return requests
 
 
