@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
@@ -53,6 +54,11 @@ class ChainSpec(namedtuple("ChainSpec",
                 coupling_odd: Rational = _ONE, coupling_even: Rational = _ONE):
         coupling_odd = as_rational(coupling_odd)
         coupling_even = as_rational(coupling_even)
+        try:
+            n_sites = operator.index(n_sites)
+        except TypeError:
+            raise InvalidSize(
+                f"n_sites must be an integer, got {n_sites!r}") from None
         if n_sites < 1:
             raise InvalidSize("n_sites must be >= 1")
         if topology is Topology.CYCLIC and n_sites < 2:
@@ -66,9 +72,20 @@ class ChainSpec(namedtuple("ChainSpec",
     def is_uniform(self) -> bool:
         return self.coupling_odd == 1 and self.coupling_even == 1
 
-    def check_site(self, index: int) -> None:
-        if not 1 <= index <= self.n_sites:
+    def check_site(self, index: int) -> int:
+        """``index`` as an int, if it is a site of this chain."""
+        site = _site_index(index)
+        if not 1 <= site <= self.n_sites:
             raise IndexOutOfRange(f"site {index} outside 1..{self.n_sites}")
+        return site
+
+
+def _site_index(index) -> int:
+    """``index`` as an int, refusing floats and other non-integers."""
+    try:
+        return operator.index(index)
+    except TypeError:
+        raise IndexOutOfRange(f"site {index!r} is not an integer") from None
 
 
 def bond_coupling(spec: ChainSpec, bond: int) -> Rational:
@@ -162,10 +179,13 @@ def _mode_row(spec: ChainSpec, r: int) -> list[float]:
 
 
 def _gaps(spec: ChainSpec, energy: float) -> list[float]:
-    """E - eps_k for every mode, refusing an energy on the spectrum."""
+    """E - eps_k for every mode, refusing a NaN energy or one on the
+    spectrum."""
+    if math.isnan(energy):
+        raise EnergyAtPole(f"E={energy} is not a number")
     gaps = [energy - eps for eps in _eigenvalues(spec)]
     nearest = min(map(abs, gaps))
-    if not nearest >= 1e-9:    # a NaN energy fails this too
+    if nearest < 1e-9:
         raise EnergyAtPole(
             f"E={energy} within 1e-9 of an eigenvalue (gap {nearest:.3e})")
     return gaps
@@ -214,8 +234,7 @@ def spectral_resolvent_entry(spec: ChainSpec, r: int, s: int, energy: float) -> 
     so both refuse the same sizes.
     """
     _require_uniform(spec)
-    spec.check_site(r)
-    spec.check_site(s)
+    r, s = spec.check_site(r), spec.check_site(s)
     _require_eigenbasis(spec)
     return _resolvent_sum(_mode_row(spec, r), _mode_row(spec, s),
                           _gaps(spec, energy))

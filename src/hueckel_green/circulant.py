@@ -5,8 +5,9 @@ entries 0 and +-1/2 arranged in repeating diagonal patterns whenever N is
 not a multiple of 4.  Two independent derivations of that first column are
 implemented (the odd/even-row recurrence, and expanding the factorization
 of the symbol into geometric series over the Gaussian integers), plus a
-general exact inverse for arbitrary rational circulants: multi-modular
-extended Euclid on the symbol modulo x^N - 1, checked by an integer
+general exact inverse for arbitrary rational circulants: the symbol is
+inverted modulo x^N - 1 over one word-sized prime by extended Euclid,
+lifted p-adically with big-int cyclic products and checked by an integer
 certificate, with singularity decided by cyclotomic divisibility.
 """
 
@@ -135,15 +136,23 @@ def circulant_inverse_dft(spec: CirculantSpec) -> CirculantSpec:
 
     C is the polynomial c(x) = sum_k c_k x^k modulo x^N - 1, so its inverse
     is the inverse of c(x) in that ring.  Scale c by L, the lcm of its
-    denominators, to an integer a(x); then C^-1 = L A^-1.  For each prime p
-    below 2^62, extended Euclid over F_p inverts a(x) modulo x^N - 1 in
-    O(N^2) word operations.  The residues are combined by CRT and
-    rational-reconstructed over one common denominator d, and the answer is
-    returned as soon as the integer certificate a * X = d e_0 (a cyclic
+    denominators, to an integer a(x); then C^-1 = L A^-1.  Extended Euclid
+    over F_p inverts a(x) modulo x^N - 1 once, at the first prime p below
+    2^62 where it can, in O(N^2) word operations.  p-adic lifting (Dixon,
+    Numer. Math. 40, 1982) then turns that B = a^-1 mod p into A^-1 e_0
+    modulo p^k, one base-p digit per step: y = B r mod p, then the
+    residual r <- (r - a y) / p, which stays below |a|_1 in every entry.
+    Each step costs O(N) Python operations and two big-int products.  The
+    cyclic products B r and a y are done by Kronecker substitution: a, B
+    and r are each packed into one int, N slots of about
+    log2(N p |a|_1) bits, so a product is one int product folded modulo
+    256^(width N) - 1.  After each step the digits are
+    rational-reconstructed over one common denominator d, and the answer
+    is returned as soon as the integer certificate a * X = d e_0 (a cyclic
     convolution) holds, which proves both that C is invertible and that
     X / d is A^-1 e_0.  No bound and no float decides: reconstruction is
-    sure to succeed once the modulus exceeds 2 H^2, H the Hadamard bound of
-    A, so about 2 log2(H) / 62 primes are used.  Storage is O(N) integers;
+    sure to succeed once p^k exceeds 2 H^2, H the Hadamard bound of A, so
+    about 2 log2(H) / log2(p) steps are taken.  Storage is O(N) integers;
     the N x N matrix is never built.
 
     C is singular exactly when c(x) vanishes at an N-th root of unity, that
@@ -156,25 +165,63 @@ def circulant_inverse_dft(spec: CirculantSpec) -> CirculantSpec:
     """
     n = spec.n
     a, scale = over_common_denominator(spec.first_column)
-    residues: list[int] = [0] * n
-    modulus = 1
     tested = False
     for p in _word_primes():
         inverse = _inverse_mod_p(a, n, p)
-        if inverse is None:
-            if not tested:
-                _raise_if_singular(a, n)
-                tested = True
-            continue
-        step = pow(modulus % p, -1, p)
-        residues = [x + modulus * ((y - x) * step % p)
-                    for x, y in zip(residues, inverse)]
+        if inverse is not None:
+            break
+        if not tested:
+            _raise_if_singular(a, n)
+            tested = True
+    numerators, d = _lift(a, inverse, p)
+    return CirculantSpec(tuple(Fraction(scale * x, d) for x in numerators))
+
+
+def _lift(a: list[int], inverse: list[int], p: int) -> tuple[list[int], int]:
+    """The certified numerators X and denominator d of A^-1 e_0 = X / d,
+    lifted p-adically from ``inverse``, the coefficients of a^-1 mod p.
+
+    The residual r starts at e_0 and keeps a X + p^k r = e_0.  One slot of
+    ``width`` bytes holds every cyclic coefficient of B r and a y with a
+    bit to spare: both are at most N p |a|_1 in absolute value, because
+    |r_k| <= |a|_1 and 0 <= B_k, y_k < p.  Each cyclic coefficient plus
+    half therefore lies strictly inside [0, 256^width - 1], so reducing a
+    packed product modulo 256^(width N) - 1, which sets x^N = 1 at
+    x = 256^width, leaves exactly the packed cyclic product plus
+    ``offset``.
+    """
+    n = len(a)
+    width = ((n * p * sum(map(abs, a))).bit_length() + 9) // 8
+    shift = 8 * width * n
+    mask = (1 << shift) - 1                    # 256^(width N) - 1
+    half = 1 << (8 * width - 1)
+    offset = _pack([half] * n, width)
+
+    def cyclic(product: int) -> int:
+        return ((product & mask) + (product >> shift) + offset) % mask
+
+    packed_inverse = _pack(inverse, width)
+    packed_a = (_pack([max(x, 0) for x in a], width)
+                - _pack([max(-x, 0) for x in a], width))
+    residual = 1                               # r = e_0, packed
+    digits = [0] * n
+    modulus = 1
+    while True:
+        data = cyclic(packed_inverse * residual).to_bytes(shift // 8, "little")
+        y = [(int.from_bytes(data[i:i + width], "little") - half) % p
+             for i in range(0, len(data), width)]
+        digits = [x + modulus * v for x, v in zip(digits, y)]
+        residual = (residual + offset - cyclic(packed_a * _pack(y, width))) // p
         modulus *= p
-        found = _reconstruct(residues, modulus)
+        found = _reconstruct(digits, modulus)
         if found is not None and _certifies(a, *found):
-            numerators, d = found
-            return CirculantSpec(tuple(Fraction(scale * x, d)
-                                       for x in numerators))
+            return found
+
+
+def _pack(coefficients: list[int], width: int) -> int:
+    """sum_k c_k 256^(width k), for 0 <= c_k < 256^width."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little")
+                                   for c in coefficients), "little")
 
 
 def _raise_if_singular(a: list[int], n: int) -> None:

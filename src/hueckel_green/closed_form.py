@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
-from .chains import ChainSpec, Topology
+from .chains import ChainSpec, Topology, _site_index
 from .errors import (CycleTooSmall, IndexOutOfRange, InvalidSize,
                      SingularMatrix, ZeroCoupling)
 from .exact import ExactMatrix, Rational, guard_dense
@@ -38,6 +38,7 @@ class GreenEntryQuery(namedtuple("GreenEntryQuery", "spec r s")):
     __slots__ = ()
 
     def __new__(cls, spec: ChainSpec, r: int, s: int):
+        r, s = _site_index(r), _site_index(s)
         if not (1 <= r <= spec.n_sites and 1 <= s <= spec.n_sites):
             raise IndexOutOfRange(f"({r}, {s}) outside 1..{spec.n_sites}")
         return super().__new__(cls, spec, r, s)

@@ -158,10 +158,12 @@ def test_resolvent_pole_near_eigenvalue():
 def test_resolvent_refuses_nan_energy():
     # Regression: a NaN gap passed the pole screen and gave a NaN G.
     spec = ChainSpec(Topology.OPEN, 4)
-    with pytest.raises(EnergyAtPole):
+    with pytest.raises(EnergyAtPole) as err:
         spectral_resolvent_entry(spec, 1, 2, float("nan"))
-    with pytest.raises(EnergyAtPole):
+    assert str(err.value) == "E=nan is not a number"
+    with pytest.raises(EnergyAtPole) as err:
         spectral_resolvent_matrix(spec, float("nan"))
+    assert str(err.value) == "E=nan is not a number"
     for energy in (float("inf"), float("-inf")):
         assert spectral_resolvent_entry(spec, 1, 2, energy) == 0.0
         assert spectral_resolvent_matrix(spec, energy) == [[0.0] * 4] * 4

@@ -247,3 +247,84 @@ def test_random_symmetric_circulants_invert_symmetrically(data):
     product = multiply(circulant_rows(spec.first_column),
                        circulant_rows(inv.first_column))
     assert product == identity_rows(n)
+
+
+def dominant_column(rng, n):
+    """A column whose first entry outweighs the rest, so C is invertible."""
+    column = random_column(rng, n)
+    column[0] = sum(map(abs, column[1:])) + F(1, rng.randint(1, 4))
+    return column
+
+
+def unit_column(n):
+    return [F(1)] + [F(0)] * (n - 1)
+
+
+def spy_on_inverse_mod_p(monkeypatch):
+    """Record whether each call of `_inverse_mod_p` found an inverse."""
+    found = []
+    real = circulant._inverse_mod_p
+
+    def spy(a, n, p):
+        inverse = real(a, n, p)
+        found.append(inverse is not None)
+        return inverse
+
+    monkeypatch.setattr(circulant, "_inverse_mod_p", spy)
+    return found
+
+
+@pytest.mark.parametrize("n", [28, 45, 58])
+def test_dft_route_runs_one_euclid(monkeypatch, n):
+    found = spy_on_inverse_mod_p(monkeypatch)
+    column = dominant_column(random.Random(n), n)
+    inverse = circulant_inverse_dft(CirculantSpec(tuple(column)))
+    assert found == [True]
+    assert poly_mul_mod(column, inverse.first_column, n) == unit_column(n)
+
+
+def test_dft_route_lifts_from_the_first_good_prime(monkeypatch):
+    monkeypatch.setattr(circulant, "_word_primes", lambda: iter(SMALL_PRIMES))
+    found = spy_on_inverse_mod_p(monkeypatch)
+    skipped = 0
+    for spec in random_specs(7):
+        found.clear()
+        if outcome(spec) is None:
+            assert found == [False]        # the first failure proves it
+        else:
+            assert found == [False] * (len(found) - 1) + [True]
+            skipped += len(found) - 1
+    assert skipped > 10
+
+
+def test_dft_route_inverts_large_random_circulants():
+    rng = random.Random(25)
+    singular = 0
+    for n in range(25, 65):
+        column = random_column(rng, n)
+        try:
+            inverse = circulant_inverse_dft(CirculantSpec(tuple(column)))
+        except SingularMatrix as err:
+            assert symbol_abs(column, err.index) < 1e-9
+            singular += 1
+            continue
+        assert poly_mul_mod(column, inverse.first_column, n) == unit_column(n)
+    assert singular < 5
+
+
+def test_dft_route_lifts_through_many_steps(monkeypatch):
+    rng = random.Random(40)
+    column = [F(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 40))
+              for _ in range(4)]
+    moduli = []
+    real = circulant._reconstruct
+
+    def spy(residues, modulus):
+        moduli.append(modulus)
+        return real(residues, modulus)
+
+    monkeypatch.setattr(circulant, "_reconstruct", spy)
+    inverse = circulant_inverse_dft(CirculantSpec(tuple(column)))
+    assert len(moduli) >= 20                   # one reconstruction per step
+    assert moduli[1:] == [m * moduli[0] for m in moduli[:-1]]
+    assert poly_mul_mod(column, inverse.first_column, 4) == unit_column(4)

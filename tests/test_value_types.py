@@ -8,7 +8,7 @@ from hueckel_green import (ChainSpec, CirculantSpec, CosineWitness,
                            ExactMatrix, GreenEntryQuery, HueckelError,
                            IndexOutOfRange, InvalidSize, InvertibilityQuery,
                            LatticeSpec, MultiIndex, Topology, TridiagonalSpec,
-                           theta_phi)
+                           green_entry, spectral_resolvent_entry, theta_phi)
 from hueckel_green.trig import parity_zero_sum, sine_ratio_sign
 
 CHAIN = ChainSpec(Topology.OPEN, 4, 2, Fraction(1, 3))
@@ -82,3 +82,54 @@ def test_matrix_index_outside_is_index_out_of_range(i, j):
     assert isinstance(err.value, IndexOutOfRange)
     assert isinstance(err.value, IndexError)
     assert str(err.value) == f"({i}, {j}) outside the 2x3 matrix"
+
+
+RING = ChainSpec(Topology.CYCLIC, 6)
+
+NON_INTEGER_SITES = {
+    "entry_r": (lambda: GreenEntryQuery(CHAIN, 1.5, 1), "1.5"),
+    "entry_s": (lambda: GreenEntryQuery(CHAIN, 1, 2.0), "2.0"),
+    "ring_entry": (lambda: green_entry(GreenEntryQuery(RING, 2.0, 1)), "2.0"),
+    "spectral_entry": (lambda: spectral_resolvent_entry(
+        ChainSpec(Topology.OPEN, 4), 1.5, 2, 0.0), "1.5"),
+    "spectral_entry_s": (lambda: spectral_resolvent_entry(
+        ChainSpec(Topology.OPEN, 4), 1, "2", 0.0), "'2'"),
+}
+
+
+@pytest.mark.parametrize("build, site", NON_INTEGER_SITES.values(),
+                         ids=NON_INTEGER_SITES)
+def test_non_integer_sites_raise_index_out_of_range(build, site):
+    # Regression: a site of 1.5 gave the entry 0 or a spectral value, and a
+    # ring site of 2.0 a bare TypeError.
+    with pytest.raises(IndexOutOfRange) as err:
+        build()
+    assert str(err.value) == f"site {site} is not an integer"
+
+
+@pytest.mark.parametrize("n", [4.0, 4.5, "4", None])
+def test_non_integer_chain_size_raises_invalid_size(n):
+    # Regression: ChainSpec(Topology.OPEN, 4.0) was accepted.
+    with pytest.raises(InvalidSize) as err:
+        ChainSpec(Topology.OPEN, n)
+    assert str(err.value) == f"n_sites must be an integer, got {n!r}"
+
+
+class Index:
+    """An integer-like value that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_like_sizes_and_sites_are_stored_as_ints():
+    spec = ChainSpec(Topology.OPEN, Index(4))
+    query = GreenEntryQuery(spec, Index(1), Index(2))
+    assert (spec.n_sites, query.r, query.s) == (4, 1, 2)
+    assert type(spec.n_sites) is type(query.r) is type(query.s) is int
+    assert green_entry(query) == -1
+    assert spectral_resolvent_entry(spec, Index(1), Index(2), 0.5) == (
+        spectral_resolvent_entry(spec, 1, 2, 0.5))
