@@ -23,7 +23,8 @@ from functools import reduce
 from operator import add
 
 from .errors import (AlternatingOddN, CycleTooSmall, EnergyAtPole,
-                     IndexOutOfRange, InvalidSize, UnsupportedCouplings)
+                     IndexOutOfRange, InvalidSize, UnsupportedCouplings,
+                     _as_size)
 from .exact import ExactMatrix, Rational, as_rational, guard_dense
 
 _ONE = Fraction(1)
@@ -54,11 +55,7 @@ class ChainSpec(namedtuple("ChainSpec",
                 coupling_odd: Rational = _ONE, coupling_even: Rational = _ONE):
         coupling_odd = as_rational(coupling_odd)
         coupling_even = as_rational(coupling_even)
-        try:
-            n_sites = operator.index(n_sites)
-        except TypeError:
-            raise InvalidSize(
-                f"n_sites must be an integer, got {n_sites!r}") from None
+        n_sites = _as_size(n_sites, "n_sites")
         if n_sites < 1:
             raise InvalidSize("n_sites must be >= 1")
         if topology is Topology.CYCLIC and n_sites < 2:

@@ -25,7 +25,7 @@ from typing import Callable
 
 from .chains import ChainSpec, Topology, _site_index
 from .errors import (CycleTooSmall, IndexOutOfRange, InvalidSize,
-                     SingularMatrix, ZeroCoupling)
+                     SingularMatrix, ZeroCoupling, _as_size)
 from .exact import ExactMatrix, Rational, guard_dense
 from .trig import direct_green_sum
 
@@ -46,6 +46,7 @@ class GreenEntryQuery(namedtuple("GreenEntryQuery", "spec r s")):
 
 def det_open(n: int) -> int:
     """Determinant of the uniform open chain: (-1)^(N/2) for even N, else 0."""
+    n = _as_size(n, "n")
     if n < 1:
         raise InvalidSize("n must be >= 1")
     if n % 2:

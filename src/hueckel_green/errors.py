@@ -7,6 +7,8 @@ exhausted search budget.
 
 from __future__ import annotations
 
+import operator
+
 
 class HueckelError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -18,6 +20,15 @@ class InvalidSize(HueckelError, ValueError):
     """A size outside its domain: fewer than one site, dimension below one,
     or n = N+1 below two.  Also a ValueError, so library callers that
     catch that keep working."""
+
+
+def _as_size(value, name: str) -> int:
+    """``value`` as an int, refusing floats and other non-integers with an
+    InvalidSize that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSize(f"{name} must be an integer, got {value!r}") from None
 
 
 class AlternatingOddN(HueckelError):

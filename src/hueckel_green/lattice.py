@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .chains import ChainSpec, Topology, _eigenvalues, _mode_row
 from .errors import (BudgetExhausted, IndexOutOfRange, InvalidSize,
-                     SingularLattice, TooLarge)
+                     SingularLattice, TooLarge, _as_size)
 from .exact import ExactMatrix, guard_dense, max_cells
 from .vanishing_sums import InvertibilityQuery, find_vanishing_witness, is_invertible
 
@@ -41,6 +41,8 @@ class LatticeSpec(namedtuple("LatticeSpec", "dim linear_size")):
     __slots__ = ()
 
     def __new__(cls, dim: int, linear_size: int):
+        dim = _as_size(dim, "dimension")
+        linear_size = _as_size(linear_size, "linear size")
         if dim < 1:
             raise InvalidSize("dimension must be >= 1")
         if linear_size < 1:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import BudgetExhausted, InvalidSize
+from .errors import BudgetExhausted, InvalidSize, _as_size
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -41,6 +41,7 @@ class InvertibilityQuery(namedtuple("InvertibilityQuery", "dim n")):
     __slots__ = ()
 
     def __new__(cls, dim: int, n: int):
+        dim, n = _as_size(dim, "dimension"), _as_size(n, "n")
         if dim < 1:
             raise InvalidSize("dimension must be >= 1")
         if n < 2:
@@ -313,13 +314,20 @@ def _cosine_keys(n: int) -> tuple[int, list[int]]:
 
 @lru_cache(maxsize=None)
 def _key_prime(n: int) -> tuple[int, int]:
-    """The largest prime p = 1 (mod 2n) below 2^62, and a primitive 2n-th
-    root of unity modulo p: the first g^((p-1)/2n), g = 2, 3, ..., whose
-    order is not a proper divisor of 2n."""
+    """The largest prime p = 1 (mod 2n) below 2^62, and the primitive 2n-th
+    root of unity modulo p that `_root_of_unity` picks.  The cosine keys
+    here and the circulant's chirp-z transform both start from this pair."""
     m = 2 * n
     p = ((1 << 62) - 2) // m * m + 1
     while not _is_word_prime(p):
         p -= m
+    return p, _root_of_unity(m, p)
+
+
+def _root_of_unity(m: int, p: int) -> int:
+    """A primitive m-th root of unity modulo a prime p = 1 (mod m): the
+    first g^((p-1)/m), g = 2, 3, ..., whose order is not a proper divisor
+    of m."""
     factors = set()
     rest = m
     while rest > 1:
@@ -330,7 +338,7 @@ def _key_prime(n: int) -> tuple[int, int]:
     while True:
         zeta = pow(g, (p - 1) // m, p)
         if all(pow(zeta, m // f, p) != 1 for f in factors):
-            return p, zeta
+            return zeta
         g += 1
 
 

@@ -1,6 +1,7 @@
 """Circulant determinants, kernels and the three inversion routes."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hueckel_green import (ChainSpec, CirculantSpec, CycleTooSmall,
                            cyclic_inverse_first_column, cyclic_kernel_basis,
                            cyclotomic_polynomial, det_cyclic,
                            det_fraction_free, mat_vec,
-                           symbol_factorization_inverse)
+                           symbol_factorization_inverse, vanishing_sums)
 from oracles import (circulant_rows, gauss_jordan_inverse, identity_rows,
                      multiply)
 
@@ -97,6 +98,13 @@ def test_kernel_eight_sites_annihilated():
 def test_kernel_rejects_invertible_size():
     with pytest.raises(NotSingular):
         cyclic_kernel_basis(6)
+
+
+@pytest.mark.parametrize("n", [0, -4, 1])
+def test_kernel_needs_a_cycle(n):
+    # Regression: N = 0 and -4 gave the empty basis ((), ()).
+    with pytest.raises(CycleTooSmall):
+        cyclic_kernel_basis(n)
 
 
 def test_dft_route_recovers_cycle_inverse():
@@ -211,6 +219,12 @@ SMALL_PRIMES = [p for p in range(3, 3000)
                 if all(p % q for q in range(2, int(p ** 0.5) + 1))]
 
 
+def small_primes(n):
+    """At least 17 primes p = 1 (mod 2N) for N <= 24, where bad primes,
+    which divide det C, are common."""
+    return iter([p for p in SMALL_PRIMES if p % (2 * n) == 1])
+
+
 def test_dft_route_skips_unlucky_primes(monkeypatch):
     specs = random_specs(7)
     expected = [outcome(spec) for spec in specs]
@@ -222,7 +236,7 @@ def test_dft_route_skips_unlucky_primes(monkeypatch):
         real_check(a, n)
         skipped.append(n)
 
-    monkeypatch.setattr(circulant, "_word_primes", lambda: iter(SMALL_PRIMES))
+    monkeypatch.setattr(circulant, "_primes", small_primes)
     monkeypatch.setattr(circulant, "_raise_if_singular", spy)
     assert [outcome(spec) for spec in specs] == expected
     assert [singular_index(c) for c, _ in cases] == [j for _, j in cases]
@@ -284,7 +298,7 @@ def test_dft_route_runs_one_euclid(monkeypatch, n):
 
 
 def test_dft_route_lifts_from_the_first_good_prime(monkeypatch):
-    monkeypatch.setattr(circulant, "_word_primes", lambda: iter(SMALL_PRIMES))
+    monkeypatch.setattr(circulant, "_primes", small_primes)
     found = spy_on_inverse_mod_p(monkeypatch)
     skipped = 0
     for spec in random_specs(7):
@@ -328,3 +342,32 @@ def test_dft_route_lifts_through_many_steps(monkeypatch):
     assert len(moduli) >= 20                   # one reconstruction per step
     assert moduli[1:] == [m * moduli[0] for m in moduli[:-1]]
     assert poly_mul_mod(column, inverse.first_column, 4) == unit_column(4)
+
+
+def test_seed_inverts_the_symbol_modulo_the_first_prime():
+    rng = random.Random(64)
+    for n in range(1, 65):
+        column = [rng.randint(-9, 9) for _ in range(n)]
+        p = next(circulant._primes(n))
+        seed = circulant._inverse_mod_p(column, n, p)
+        if seed is None:                       # only where C is singular
+            with pytest.raises(SingularMatrix):
+                circulant._raise_if_singular(column, n)
+            continue
+        product = poly_mul_mod(column, seed, n)
+        assert [x % p for x in product] == unit_column(n)
+
+
+def test_seed_fails_on_every_singular_column():
+    for column, _ in singular_cases(17):
+        n = len(column)
+        scale = math.lcm(*(F(x).denominator for x in column))
+        a = [int(x * scale) for x in column]
+        assert circulant._inverse_mod_p(a, n, next(circulant._primes(n))) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 28, 45, 64, 200])
+def test_first_prime_and_root_are_the_witness_key_prime(n):
+    p, zeta = vanishing_sums._key_prime(n)
+    assert next(circulant._primes(n)) == p
+    assert circulant._chirp(n, p)[0][1] == pow(zeta, n + 1, p)   # chi^(1^2)

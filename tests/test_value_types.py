@@ -8,7 +8,10 @@ from hueckel_green import (ChainSpec, CirculantSpec, CosineWitness,
                            ExactMatrix, GreenEntryQuery, HueckelError,
                            IndexOutOfRange, InvalidSize, InvertibilityQuery,
                            LatticeSpec, MultiIndex, Topology, TridiagonalSpec,
-                           green_entry, spectral_resolvent_entry, theta_phi)
+                           cyclic_inverse_first_column, cyclic_kernel_basis,
+                           det_cyclic, det_open, green_entry,
+                           spectral_resolvent_entry,
+                           symbol_factorization_inverse, theta_phi)
 from hueckel_green.trig import parity_zero_sum, sine_ratio_sign
 
 CHAIN = ChainSpec(Topology.OPEN, 4, 2, Fraction(1, 3))
@@ -113,6 +116,31 @@ def test_non_integer_chain_size_raises_invalid_size(n):
     with pytest.raises(InvalidSize) as err:
         ChainSpec(Topology.OPEN, n)
     assert str(err.value) == f"n_sites must be an integer, got {n!r}"
+
+
+NON_INTEGER_SIZES = {
+    "query_n": (lambda: InvertibilityQuery(3, 9.0), "n", 9.0),
+    "query_n_seven": (lambda: InvertibilityQuery(3, 7.0), "n", 7.0),
+    "query_dim": (lambda: InvertibilityQuery(3.0, 9), "dimension", 3.0),
+    "lattice_size": (lambda: LatticeSpec(3, 4.0), "linear size", 4.0),
+    "lattice_dim": (lambda: LatticeSpec(3.0, 4), "dimension", 3.0),
+    "det_cyclic": (lambda: det_cyclic(6.0), "N", 6.0),
+    "det_open": (lambda: det_open(4.0), "n", 4.0),
+    "cyclic_inverse": (lambda: cyclic_inverse_first_column(6.0), "N", 6.0),
+    "symbol_inverse": (lambda: symbol_factorization_inverse(5.0), "N", 5.0),
+    "cyclic_kernel": (lambda: cyclic_kernel_basis(4.0), "N", 4.0),
+}
+
+
+@pytest.mark.parametrize("build, name, size", NON_INTEGER_SIZES.values(),
+                         ids=NON_INTEGER_SIZES)
+def test_non_integer_sizes_raise_invalid_size(build, name, size):
+    # Regression: InvertibilityQuery(3, 9.0) was accepted and its witness
+    # search never ended, det_cyclic(6.0) and det_open(4.0) answered, and
+    # the circulant routes ended in a bare TypeError.
+    with pytest.raises(InvalidSize) as err:
+        build()
+    assert str(err.value) == f"{name} must be an integer, got {size!r}"
 
 
 class Index:

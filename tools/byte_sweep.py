@@ -57,6 +57,14 @@ argparse refuses with exit 2: `build` and `green --method closed` on the
 open chain N = 4 with `--alpha 1/0`, `--beta=0/0` and `--alpha=-3/0`, in
 CSV and JSON.
 
+Then the library rows, calls that no command makes: `circulant_inverse_dft`
+on the circulants of the benchmark's `library` workload at seeds 5-7
+(`perfbench/mix.py`), on seeded random columns with N = 1-64 and entries
+p/q, |p| <= 4, 1 <= q <= 5, and on the singular columns Phi_m(x) b(x) mod
+x^N - 1 for every m | N, N = 1-24, b seeded.  A library row compares the
+sha256 of the entries' `str`, or the error's type, message, `index` and
+exit code.
+
 For a `verify` request that differs, the sweep also lists the report rows
 (check ids, and `all`) whose text differs, and says whether only their
 residual digits moved: the same ids, verdicts, exit code and stderr.
@@ -71,9 +79,11 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 SIZES = (*range(1, 41), *range(78, 85), *range(290, 311), 394)
@@ -218,7 +228,54 @@ def grid() -> list[list[str]]:
                      "--format", fmt]
             requests.extend([["build", *chain],
                              ["green", *chain, "--method", "closed"]])
-    return requests
+    return requests + [[CIRCULANT, *map(str, column)]
+                       for column in circulant_columns()]
+
+
+CIRCULANT = "circulant_inverse_dft"
+
+
+def circulant_columns() -> list[list[Fraction]]:
+    """The first columns of the library rows."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import mix
+
+    columns = [list(map(Fraction, request["params"]["column"]))
+               for seed in (5, 6, 7) for block in mix.build("library", seed)
+               for request in block if request["op"] == CIRCULANT]
+    rng = random.Random(64)
+
+    def entries(n: int) -> list[Fraction]:
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                for _ in range(n)]
+
+    columns.extend(entries(n) for n in range(1, 65))
+    for n in range(1, 25):
+        for m in range(1, n + 1):
+            if n % m == 0:
+                b = entries(rng.randint(1, n))
+                column = [Fraction(0)] * n
+                for i, c in enumerate(cyclotomic(m)):
+                    for j, y in enumerate(b):
+                        column[(i + j) % n] += c * y
+                columns.append(column)
+    return columns
+
+
+def cyclotomic(m: int) -> list[int]:
+    """Phi_m, constant term first: x^m - 1 divided by Phi_d for every proper
+    divisor d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = cyclotomic(d)
+            quotient = [0] * (len(num) - len(den) + 1)
+            for i in range(len(quotient) - 1, -1, -1):
+                quotient[i] = num[i + len(den) - 1]       # den is monic
+                for j, c in enumerate(den):
+                    num[i + j] -= quotient[i] * c
+            num = quotient
+    return num
 
 
 def run_one(main, argv: list[str]) -> list:
@@ -237,6 +294,20 @@ def run_one(main, argv: list[str]) -> list:
     text = out.getvalue()
     result = [hashlib.sha256(text.encode()).hexdigest(), first, code]
     return result + [text] if argv[0] == "verify" else result
+
+
+def run_circulant(column: list[str]) -> list:
+    """[sha256 of the inverse's entries, error line, exit code] of one
+    library row."""
+    from hueckel_green import CirculantSpec, HueckelError, circulant_inverse_dft
+
+    try:
+        inverse = circulant_inverse_dft(CirculantSpec(tuple(map(Fraction, column))))
+    except HueckelError as err:
+        return ["", f"{type(err).__name__}: {err} index="
+                f"{getattr(err, 'index', None)}", err.exit_code]
+    text = " ".join(map(str, inverse.first_column))
+    return [hashlib.sha256(text.encode()).hexdigest(), "", 0]
 
 
 def report_rows(text: str) -> list[tuple[str, str, str]]:
@@ -266,7 +337,9 @@ def worker(src: str) -> None:
     from hueckel_green.cli import main
 
     for argv in grid():
-        print(json.dumps(run_one(main, argv)), flush=True)
+        result = (run_circulant(argv[1:]) if argv[0] == CIRCULANT
+                  else run_one(main, argv))
+        print(json.dumps(result), flush=True)
 
 
 def sweep(tree: Path) -> list[list]:
