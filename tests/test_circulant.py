@@ -2,8 +2,12 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from oracles import (circulant_rows, gauss_jordan_inverse, identity_rows,
 
 F = Fraction
 HALF = F(1, 2)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -339,9 +344,47 @@ def test_dft_route_lifts_through_many_steps(monkeypatch):
 
     monkeypatch.setattr(circulant, "_reconstruct", spy)
     inverse = circulant_inverse_dft(CirculantSpec(tuple(column)))
-    assert len(moduli) >= 20                   # one reconstruction per step
-    assert moduli[1:] == [m * moduli[0] for m in moduli[:-1]]
+    assert len(moduli) == 1                    # one reconstruction, at the end
+    scale = math.lcm(*(x.denominator for x in column))
+    limit = 2 * sum(int(x * scale) ** 2 for x in column) ** 4    # 2 H^2
+    p, k, rest = next(circulant._primes(4)), 0, moduli[0]
+    while rest % p == 0:
+        rest, k = rest // p, k + 1
+    assert rest == 1 and k >= 20
+    assert p ** (k - 1) <= limit < p ** k
     assert poly_mul_mod(column, inverse.first_column, 4) == unit_column(4)
+
+
+WRONG_SEED = """
+import sys
+from hueckel_green import CirculantSpec, circulant, circulant_inverse_dft
+
+real = circulant._inverse_mod_p
+
+
+def wrong_seed(a, n, p):
+    seed = real(a, n, p)
+    return [seed[0] + 1, *seed[1:]]
+
+
+circulant._inverse_mod_p = wrong_seed
+try:
+    circulant_inverse_dft(CirculantSpec((5, 1, -2, "1/3", 1)))
+except ArithmeticError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_dft_route_refuses_a_wrong_seed():
+    """The lift has a fixed end, so a wrong seed raises instead of lifting
+    forever; it runs in its own process so that a hang fails the test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", WRONG_SEED], env=env,
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 0, result.stderr
 
 
 def test_seed_inverts_the_symbol_modulo_the_first_prime():

@@ -61,9 +61,13 @@ Then the library rows, calls that no command makes: `circulant_inverse_dft`
 on the circulants of the benchmark's `library` workload at seeds 5-7
 (`perfbench/mix.py`), on seeded random columns with N = 1-64 and entries
 p/q, |p| <= 4, 1 <= q <= 5, and on the singular columns Phi_m(x) b(x) mod
-x^N - 1 for every m | N, N = 1-24, b seeded.  A library row compares the
-sha256 of the entries' `str`, or the error's type, message, `index` and
-exit code.
+x^N - 1 for every m | N, N = 1-24, b seeded, and last on two seeded
+random columns each with N = 128 and 256, entries as above.  At those
+sizes a reconstruction tried after every lifting step would succeed two
+to four steps before the count that the Hadamard bound fixes, where the
+inverse is reconstructed once; the rows show that both give the same
+rationals.  A library row compares the sha256 of the entries' `str`,
+or the error's type, message, `index` and exit code.
 
 For a `verify` request that differs, the sweep also lists the report rows
 (check ids, and `all`) whose text differs, and says whether only their
@@ -122,6 +126,7 @@ BENCHMARK_VERIFY_SIZES = {"open": range(29, 32), "lattice": range(22, 27),
                           "trig": range(43, 48), "all": (50,)}
 LONG_ENTRY_SIZES = (10_000, 12_000)
 ZERO_DENOMINATORS = (("--alpha", "1/0"), ("--beta=0/0",), ("--alpha=-3/0",))
+LARGE_CIRCULANT_SIZES = (128, 128, 256, 256)
 
 
 def grid() -> list[list[str]]:
@@ -259,6 +264,7 @@ def circulant_columns() -> list[list[Fraction]]:
                     for j, y in enumerate(b):
                         column[(i + j) % n] += c * y
                 columns.append(column)
+    columns.extend(entries(n) for n in LARGE_CIRCULANT_SIZES)
     return columns
 
 
