@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
@@ -24,7 +23,7 @@ from operator import add
 
 from .errors import (AlternatingOddN, CycleTooSmall, EnergyAtPole,
                      IndexOutOfRange, InvalidSize, UnsupportedCouplings,
-                     _as_size)
+                     _as_index, _as_size)
 from .exact import ExactMatrix, Rational, as_rational, guard_dense
 
 _ONE = Fraction(1)
@@ -71,18 +70,10 @@ class ChainSpec(namedtuple("ChainSpec",
 
     def check_site(self, index: int) -> int:
         """``index`` as an int, if it is a site of this chain."""
-        site = _site_index(index)
+        site = _as_index(index, "site")
         if not 1 <= site <= self.n_sites:
             raise IndexOutOfRange(f"site {index} outside 1..{self.n_sites}")
         return site
-
-
-def _site_index(index) -> int:
-    """``index`` as an int, refusing floats and other non-integers."""
-    try:
-        return operator.index(index)
-    except TypeError:
-        raise IndexOutOfRange(f"site {index!r} is not an integer") from None
 
 
 def bond_coupling(spec: ChainSpec, bond: int) -> Rational:
@@ -274,6 +265,7 @@ def spectral_resolvent_matrix(spec: ChainSpec,
 
 def transmission_proxy(g: ExactMatrix, r: int, s: int) -> Rational:
     """|G(r, s)|^2, the quantity conductance is proportional to."""
+    r, s = _as_index(r, "site r"), _as_index(s, "site s")
     if not (1 <= r <= g.rows and 1 <= s <= g.cols):
         raise IndexOutOfRange(f"({r}, {s}) outside the {g.rows}x{g.cols} matrix")
     value = g.get(r - 1, s - 1)

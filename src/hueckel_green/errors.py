@@ -52,6 +52,15 @@ class IndexOutOfRange(HueckelError, IndexError):
     """Site or matrix index outside its range; also an IndexError."""
 
 
+def _as_index(value, name: str) -> int:
+    """``value`` as an int, refusing floats and other non-integers with an
+    IndexOutOfRange that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise IndexOutOfRange(f"{name} {value!r} is not an integer") from None
+
+
 class ZeroCoupling(HueckelError):
     """Closed forms divide by the couplings; zero is not allowed."""
 

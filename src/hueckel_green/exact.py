@@ -16,7 +16,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import IndexOutOfRange, InvalidSize, SingularMatrix, TooLarge
+from .errors import (IndexOutOfRange, InvalidSize, SingularMatrix, TooLarge,
+                     _as_index)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,6 +108,7 @@ class ExactMatrix:
 
     def get(self, i: int, j: int) -> Fraction:
         """Entry at 0-based (i, j)."""
+        i, j = _as_index(i, "row"), _as_index(j, "column")
         if not (0 <= i < self._rows and 0 <= j < self._cols):
             raise IndexOutOfRange(f"({i}, {j}) outside the "
                                   f"{self._rows}x{self._cols} matrix")

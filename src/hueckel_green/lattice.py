@@ -14,14 +14,13 @@ flat = sum_i (k_i - 1) N^(d-i) + 1.  Open boundaries only.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .chains import ChainSpec, Topology, _eigenvalues, _mode_row
 from .errors import (BudgetExhausted, IndexOutOfRange, InvalidSize,
-                     SingularLattice, TooLarge, _as_size)
+                     SingularLattice, TooLarge, _as_index, _as_size)
 from .exact import ExactMatrix, guard_dense, max_cells
 from .vanishing_sums import InvertibilityQuery, find_vanishing_witness, is_invertible
 
@@ -54,20 +53,14 @@ class LatticeSpec(namedtuple("LatticeSpec", "dim linear_size")):
         return self.linear_size ** self.dim
 
 
-def _coordinate(c) -> int:
-    try:
-        return operator.index(c)
-    except TypeError:
-        raise IndexOutOfRange(f"coordinate {c!r} is not an integer") from None
-
-
 class MultiIndex(namedtuple("MultiIndex", "coords")):
     """Per-axis coordinates (k_1, ..., k_d), each 1-based."""
 
     __slots__ = ()
 
     def __new__(cls, coords: tuple[int, ...]):
-        return super().__new__(cls, tuple(map(_coordinate, coords)))
+        return super().__new__(
+            cls, tuple(_as_index(c, "coordinate") for c in coords))
 
 
 def _check_index(spec: LatticeSpec, mi: MultiIndex) -> None:
@@ -88,6 +81,7 @@ def flatten(spec: LatticeSpec, mi: MultiIndex) -> int:
 
 
 def unflatten(spec: LatticeSpec, flat: int) -> MultiIndex:
+    flat = _as_index(flat, "flat index")
     if not 1 <= flat <= spec.total_sites:
         raise IndexOutOfRange(f"flat index {flat} outside 1..{spec.total_sites}")
     rem = flat - 1

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chains import ChainSpec, Topology, bond_coupling
 from .errors import (IndexOutOfRange, InvalidSize, SingularMatrix,
-                     UnsupportedCouplings)
+                     UnsupportedCouplings, _as_index)
 from .exact import (ExactMatrix, Rational, as_rational, guard_dense,
                     over_common_denominator)
 
@@ -129,6 +129,7 @@ def usmani_entry(spec: TridiagonalSpec, r: int, s: int,
     O(|r - s|) for the coupling product.
     """
     n = spec.n
+    r, s = _as_index(r, "site r"), _as_index(s, "site s")
     if not (1 <= r <= n and 1 <= s <= n):
         raise IndexOutOfRange(f"({r}, {s}) outside 1..{n}")
     tables = require_invertible(spec, tables)

@@ -16,7 +16,7 @@ import math
 from typing import Iterable
 
 from .errors import (DegenerateAngle, IndexOutOfRange, InvalidSize,
-                     NearSingularAngle, SingularMatrix)
+                     NearSingularAngle, SingularMatrix, _as_index)
 
 
 def kahan_sum(values: Iterable[float]) -> float:
@@ -72,6 +72,7 @@ def direct_green_sum(n: int, r: int, s: int) -> float:
     only; for odd N one of the cosines vanishes and the sum has a pole.
     """
     _require_even_chain(n)
+    r, s = _as_index(r, "site r"), _as_index(s, "site s")
     if not (1 <= r <= n and 1 <= s <= n):
         raise IndexOutOfRange(f"({r}, {s}) outside 1..{n}")
     near, far = _cos_ratio_sums(n, (abs(r - s), r + s))

@@ -12,6 +12,7 @@ from hueckel_green import (ChainSpec, CycleTooSmall, ExactMatrix,
                            cyclic_inverse_first_column, det_fraction_free,
                            det_open, green_entry, green_matrix,
                            harmonic_sum_identity_check)
+from hueckel_green import closed_form
 from hueckel_green.closed_form import (_alternating_cyclic_kernel,
                                        _alternating_open_kernel)
 
@@ -227,21 +228,54 @@ def test_open_identity_and_uniform_reduction(n):
             for r in range(1, n + 1)] == g.to_lists()
 
 
+def refused_entry_call(rows, r, s):
+    raise AssertionError(f"green_matrix asked for the entry ({r}, {s})")
+
+
 # Four closed forms: uniform open, alternating open, uniform ring,
-# alternating ring.  green_matrix must fill exactly the entries green_entry
-# answers one at a time.
+# alternating ring, and the odd rings with equal couplings t != 1.
+# green_matrix must fill exactly the entries green_entry answers one at a
+# time, and copy them out of the rows without asking for any one of them.
 @pytest.mark.parametrize("topology,beta,alpha,sizes", [
     (Topology.OPEN, 1, 1, range(2, 31, 2)),
     (Topology.OPEN, F(2), F(-1, 3), range(2, 25, 2)),
     (Topology.CYCLIC, 1, 1, [n for n in range(3, 31) if n % 4]),
     (Topology.CYCLIC, F(3, 2), F(5, 7), range(4, 25, 2)),
+    (Topology.CYCLIC, F(2), F(2), range(3, 25, 2)),
+    (Topology.CYCLIC, F(-3, 7), F(-3, 7), range(3, 25, 2)),
 ])
-def test_green_matrix_matches_entrywise(topology, beta, alpha, sizes):
+def test_green_matrix_matches_entrywise(topology, beta, alpha, sizes,
+                                        monkeypatch):
     for n in sizes:
         spec = ChainSpec(topology, n, coupling_odd=beta, coupling_even=alpha)
         expected = [[green_entry(GreenEntryQuery(spec, r, s))
                      for s in range(1, n + 1)] for r in range(1, n + 1)]
-        assert green_matrix(spec).to_lists() == expected, n
+        with monkeypatch.context() as patched:
+            patched.setattr(closed_form._Rows, "__call__", refused_entry_call)
+            g = green_matrix(spec)
+        assert g.to_lists() == expected, n
+
+
+# One chain per form at the memory guard's edge; the uniform ring N = 1024
+# is N = 4k, so it is N = 1022.  green_entry rebuilds the rows per call, so
+# every entry is read from the one `_Rows` it reads, and a few through it.
+@pytest.mark.parametrize("spec", [
+    ChainSpec(Topology.OPEN, 1024),
+    ChainSpec(Topology.OPEN, 1024, F(1, 3), F(2)),
+    ChainSpec(Topology.CYCLIC, 1022),
+    ChainSpec(Topology.CYCLIC, 1024, F(3, 2), F(5, 7)),
+], ids=["open", "open-alternating", "ring", "ring-alternating"])
+def test_green_matrix_at_the_guard_edge_matches_entrywise(spec, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(closed_form._Rows, "__call__", refused_entry_call)
+        g = green_matrix(spec).to_lists()
+    rows = closed_form._entry_kernel(spec)
+    n = spec.n_sites
+    sites = range(1, n + 1)
+    assert g == [[rows(r, s) for s in sites] for r in sites]
+    for r, s in ((1, 1), (1, n), (n, 1), (2, 1), (n // 2, n // 2 + 1),
+                 (n // 3, n - 4)):
+        assert g[r - 1][s - 1] == green_entry(GreenEntryQuery(spec, r, s))
 
 
 @pytest.mark.parametrize("spec,error,message", [

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from hueckel_green import (ChainSpec, GreenEntryQuery, TooLarge, Topology,
-                           TridiagonalSpec, build_hamiltonian, green_entry,
+from hueckel_green import (ChainSpec, GreenEntryQuery, SingularMatrix,
+                           TooLarge, Topology, TridiagonalSpec, ZeroCoupling,
+                           build_hamiltonian, closed_form, green_entry,
                            green_matrix, spectral_resolvent_entry,
                            spectral_resolvent_matrix, usmani_entry,
                            usmani_inverse)
@@ -43,6 +44,34 @@ def test_dense_builders_refuse_past_the_guard(monkeypatch, builder):
         dense_builders(14)[builder]()
     assert str(err.value) == (
         "14x14 matrix (196 cells) exceeds the memory guard (100)")
+
+
+def refused_rows(*args):
+    raise AssertionError("rows built for a matrix past the guard")
+
+
+@pytest.mark.parametrize("spec, error", [
+    (ChainSpec(Topology.OPEN, 15), SingularMatrix),
+    (ChainSpec(Topology.OPEN, 14, 0, 3), ZeroCoupling),
+    (ChainSpec(Topology.CYCLIC, 16), SingularMatrix),
+    (ChainSpec(Topology.CYCLIC, 14, 2, -2), SingularMatrix),
+    (ChainSpec(Topology.CYCLIC, 15, 0, 0), SingularMatrix),
+    (ChainSpec(Topology.OPEN, 14), TooLarge),
+    (ChainSpec(Topology.OPEN, 14, 2, 3), TooLarge),
+    (ChainSpec(Topology.CYCLIC, 14), TooLarge),
+    (ChainSpec(Topology.CYCLIC, 14, 2, 3), TooLarge),
+    (ChainSpec(Topology.CYCLIC, 15, 2, 2), TooLarge),
+])
+def test_closed_form_refusals_come_first_and_rows_after_the_guard(
+        monkeypatch, spec, error):
+    # The closed forms refuse a spec before the guard, as before; the
+    # guard comes before the O(N) rows, whose alternating powers would
+    # take O(N^2) bits for a matrix that is refused anyway.
+    monkeypatch.setenv("HUECKEL_MAX_CELLS", LIMIT)
+    monkeypatch.setattr(closed_form, "_Rows", refused_rows)
+    monkeypatch.setattr(closed_form, "_bipartite", refused_rows)
+    with pytest.raises(error):
+        green_matrix(spec)
 
 
 def test_single_entries_stay_unguarded(monkeypatch):

@@ -9,9 +9,10 @@ from hueckel_green import (ChainSpec, CirculantSpec, CosineWitness,
                            IndexOutOfRange, InvalidSize, InvertibilityQuery,
                            LatticeSpec, MultiIndex, Topology, TridiagonalSpec,
                            cyclic_inverse_first_column, cyclic_kernel_basis,
-                           det_cyclic, det_open, green_entry,
-                           spectral_resolvent_entry,
-                           symbol_factorization_inverse, theta_phi)
+                           det_cyclic, det_open, direct_green_sum,
+                           green_entry, spectral_resolvent_entry,
+                           symbol_factorization_inverse, theta_phi,
+                           transmission_proxy, unflatten, usmani_entry)
 from hueckel_green.trig import parity_zero_sum, sine_ratio_sign
 
 CHAIN = ChainSpec(Topology.OPEN, 4, 2, Fraction(1, 3))
@@ -108,6 +109,31 @@ def test_non_integer_sites_raise_index_out_of_range(build, site):
     with pytest.raises(IndexOutOfRange) as err:
         build()
     assert str(err.value) == f"site {site} is not an integer"
+
+
+MATRIX = ExactMatrix.from_rows([[1, 2], [3, 4]])
+
+NON_INTEGER_INDICES = {
+    "matrix_row": (lambda: MATRIX.get(1.0, 0), "row 1.0"),
+    "matrix_column": (lambda: MATRIX.get(0, "1"), "column '1'"),
+    "transmission_r": (lambda: transmission_proxy(MATRIX, 2.0, 1), "site r 2.0"),
+    "transmission_s": (lambda: transmission_proxy(MATRIX, 1, 1.5), "site s 1.5"),
+    "usmani_r": (lambda: usmani_entry(TRIDIAGONAL, 1.0, 2), "site r 1.0"),
+    "usmani_s": (lambda: usmani_entry(TRIDIAGONAL, 1, None), "site s None"),
+    "direct_sum_r": (lambda: direct_green_sum(4, 1.5, 2), "site r 1.5"),
+    "direct_sum_s": (lambda: direct_green_sum(4, 1, 2.0), "site s 2.0"),
+    "unflatten": (lambda: unflatten(LatticeSpec(2, 3), 2.0), "flat index 2.0"),
+}
+
+
+@pytest.mark.parametrize("build, index", NON_INTEGER_INDICES.values(),
+                         ids=NON_INTEGER_INDICES)
+def test_non_integer_indices_raise_index_out_of_range(build, index):
+    # Regression: these reached list indexing and raised a bare TypeError,
+    # and unflatten(spec, 2.0) blamed "coordinate 1.0".
+    with pytest.raises(IndexOutOfRange) as err:
+        build()
+    assert str(err.value) == f"{index} is not an integer"
 
 
 @pytest.mark.parametrize("n", [4.0, 4.5, "4", None])

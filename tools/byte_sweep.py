@@ -55,7 +55,11 @@ chains with N = 10 000 and 12 000 and (beta, alpha) = (1/3, 2), the entry
 `--transmission`.  And the couplings with a zero denominator, which
 argparse refuses with exit 2: `build` and `green --method closed` on the
 open chain N = 4 with `--alpha 1/0`, `--beta=0/0` and `--alpha=-3/0`, in
-CSV and JSON.
+CSV and JSON.  And the closed-form matrices at the edge of the default
+memory guard: `green --method closed --format json` with N = 1022-1024 on
+open chains with (beta, alpha) = (1, 1) and (1/3, 2) and on rings with
+(1, 1) and (2, 2), and the uniform open chain again with `--transmission`
+(odd open chains and the rings N = 1024, N = 4k, exit 4).
 
 Then the library rows, calls that no command makes: `circulant_inverse_dft`
 on the circulants of the benchmark's `library` workload at seeds 5-7
@@ -127,6 +131,9 @@ BENCHMARK_VERIFY_SIZES = {"open": range(29, 32), "lattice": range(22, 27),
 LONG_ENTRY_SIZES = (10_000, 12_000)
 ZERO_DENOMINATORS = (("--alpha", "1/0"), ("--beta=0/0",), ("--alpha=-3/0",))
 LARGE_CIRCULANT_SIZES = (128, 128, 256, 256)
+GUARD_EDGE_SIZES = (1022, 1023, 1024)
+GUARD_EDGE_FORMS = (("open", "1", "1"), ("open", "1/3", "2"),
+                    ("cyclic", "1", "1"), ("cyclic", "2", "2"))
 
 
 def grid() -> list[list[str]]:
@@ -233,6 +240,14 @@ def grid() -> list[list[str]]:
                      "--format", fmt]
             requests.extend([["build", *chain],
                              ["green", *chain, "--method", "closed"]])
+    for n in GUARD_EDGE_SIZES:
+        for topology, beta, alpha in GUARD_EDGE_FORMS:
+            requests.append(["green", "--topology", topology, "--n", str(n),
+                             f"--beta={beta}", f"--alpha={alpha}",
+                             "--method", "closed", "--format", "json"])
+        requests.append(["green", "--topology", "open", "--n", str(n),
+                         "--method", "closed", "--format", "json",
+                         "--transmission"])
     return requests + [[CIRCULANT, *map(str, column)]
                        for column in circulant_columns()]
 
