@@ -1,19 +1,16 @@
-"""Closed-form zero-energy Green's functions, as two O(N) rows per chain.
+"""Closed-form zero-energy Green's functions from O(1) data per chain.
 
 The sign convention is G = -H^{-1} everywhere: every function in this
 module returns Green's function entries, i.e. the *negated* inverse of the
 corresponding Hamiltonian.  Entries use 1-based site indices.
 
 In all four forms G(r, s) depends only on the parity of r and on s - r,
-mod 2N on an open chain and mod N on a ring.  So each form's kernel
-validates the spec once and returns `_Rows(even, odd, period)`, two lists
-with G(r, s) = (odd if r is odd else even)[(s - r) % period]: O(N) entries,
-each formed once (the alternating ones are alpha/beta powers of up to O(N)
-bits).  `green_entry` reads one entry of the rows, an O(1) lookup once they
-are built; `green_matrix` copies N windows of length N out of them.
-Measured in-process (medians of 7, x86_64, CPython 3.11), `green_matrix`
-takes 1.5 ms at open N = 394 and 1.9 ms at N = 400 with beta = 1/3,
-alpha = 2, and a single entry at N = 12 000 with those couplings 30 ms.
+mod 2N on an open chain and mod N on a ring.  Each form's kernel validates
+the spec once and returns its O(1) data as a `_Rows`.  `green_entry` forms
+one entry from it, at most one alpha/beta power; `green_matrix` builds the
+O(N) row of G for odd r, reflects it for even r, and copies N windows out.
+In-process (x86_64, CPython 3.11, medians of 7) at beta = 1/3, alpha = 2,
+an entry at N = 12 000 takes 0.1 ms and the matrix at N = 400 2-3 ms.
 
 The forms need N >= 3 on a ring and nonzero couplings: the 2-site ring and
 an even chain or ring with a zero coupling are refused (exit 3 in the CLI),
@@ -63,43 +60,56 @@ def det_open(n: int) -> int:
 # no inverse.
 CYCLIC_PATTERNS = {1: (1, 1, -1, -1), 2: (0, 1, 0, -1), 3: (-1, 1, 1, -1)}
 
-_PLUS_MINUS = (Fraction(1), Fraction(-1))   # indexed by exponent % 2
 
-
-class _Rows(namedtuple("_Rows", "even odd period")):
-    """One chain's G as two rows: G(r, s) = (odd if r is odd else
-    even)[(s - r) % period]."""
+class _Rows:
+    """A chain's G as `at(d)` = G(1, 1 + d), d mod `period`: G(r, s) is at
+    (s - r) for odd r and, as G(r, s) = G(s, r), at (r - s) for even r."""
 
     __slots__ = ()
 
     def __call__(self, r: int, s: int) -> Rational:
-        return (self.odd if r % 2 else self.even)[(s - r) % self.period]
+        return self.at((s - r if r % 2 else r - s) % self.period)
+
+    def odd_row(self) -> list:
+        return [self.at(d) for d in range(self.period)]
 
 
-def _unguarded(n: int) -> None:
-    """Single entries pass no memory guard."""
+class _Bipartite(_Rows, namedtuple("_Bipartite", "n period first ratio")):
+    """G(1, 2k + 2) = first * ratio^k, and 0 between sites of equal parity."""
+
+    __slots__ = ()
+
+    def at(self, d: int) -> Rational:
+        if d % 2 and d < self.n:
+            return self.first * self.ratio ** (d // 2)
+        return _ZERO
+
+    def odd_row(self) -> list:
+        row = [_ZERO] * self.period
+        row[1:self.n:2] = accumulate(repeat(self.ratio, self.n // 2 - 1),
+                                     mul, initial=self.first)
+        return row
 
 
-def _bipartite(values, n: int, period: int) -> _Rows:
-    """Rows of a G on N sites that vanishes between sites of equal parity,
-    from G(1, 2k + 2) = values[k]; G(r, s) = G(s, r) gives the even row."""
-    odd = [_ZERO] * period
-    odd[1:n:2] = values
-    return _Rows(odd[:1] + odd[:0:-1], odd, period)
+class _Circulant(_Rows, namedtuple("_Circulant", "period values")):
+    """A symmetric circulant G on N = period sites: values[-d % N % 4]."""
+
+    __slots__ = ()
+
+    def at(self, d: int) -> Rational:
+        return self.values[-d % self.period % 4]
 
 
-def _open_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
-    """Uniform open chain, N even: G(r, s) = (-1)^((r+s-1)/2) where r and s
-    have opposite parity and the even index exceeds the odd one, else 0."""
+def _open_kernel(spec: ChainSpec) -> _Rows:
+    """Uniform open chain, N even: G(r, s) = (-1)^((r+s-1)/2) where the even
+    index exceeds the odd one, else 0, so G(1, 2k + 2) = -(-1)^k."""
     n = spec.n_sites
     if n % 2:
         raise SingularMatrix("N odd", n=n)
-    guard(n)
-    signs = [_PLUS_MINUS[s // 2 % 2] for s in range(2, n + 1, 2)]  # G(1, s)
-    return _bipartite(signs, n, 2 * n)
+    return _Bipartite(n, 2 * n, Fraction(-1), Fraction(-1))
 
 
-def _alternating_open_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
+def _alternating_open_kernel(spec: ChainSpec) -> _Rows:
     """Open chain with couplings beta, alpha, beta, ...: (alpha/beta) powers
     under parity brackets, reducing to `_open_kernel` at unit couplings.
     From the odd site 1, G(1, 2k + 2) = -(-alpha/beta)^k / beta."""
@@ -109,13 +119,10 @@ def _alternating_open_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
     beta, alpha = spec.coupling_odd, spec.coupling_even
     if beta == 0 or alpha == 0:
         raise ZeroCoupling("couplings must be nonzero")
-    guard(n)
-    ratio = -alpha / beta
-    powers = accumulate(repeat(ratio, n // 2 - 1), mul, initial=-1 / beta)
-    return _bipartite(powers, n, 2 * n)
+    return _Bipartite(n, 2 * n, -1 / beta, -alpha / beta)
 
 
-def _cyclic_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
+def _cyclic_kernel(spec: ChainSpec) -> _Rows:
     """Uniform ring, N not 4k: the inverse is circulant, and G(r, s) is 0 or
     +-1/2 by the residue mod 4 of (r - s) mod N (`CYCLIC_PATTERNS`)."""
     n = spec.n_sites
@@ -123,13 +130,10 @@ def _cyclic_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
         raise CycleTooSmall("cyclic Green's function needs N >= 3")
     if n % 4 == 0:
         raise SingularMatrix("N=4k", n=n)
-    guard(n)
-    values = tuple(Fraction(-p, 2) for p in CYCLIC_PATTERNS[n % 4])
-    row = [values[-j % n % 4] for j in range(n)]
-    return _Rows(row, row, n)
+    return _Circulant(n, tuple(Fraction(-p, 2) for p in CYCLIC_PATTERNS[n % 4]))
 
 
-def _alternating_cyclic_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
+def _alternating_cyclic_kernel(spec: ChainSpec) -> _Rows:
     """Ring with couplings beta, alpha, ..., N even >= 4: the four-term form.
     From the odd site 1, G(1, 2k + 2) = -(-alpha/beta)^k / (beta * den) with
     the geometric denominator den = 1 - (-alpha/beta)^(N/2), which vanishes
@@ -141,9 +145,8 @@ def _alternating_cyclic_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
         # uniform ring is invertible at odd N unless t = 0: G = G_uniform / t.
         if beta == 0:
             raise SingularMatrix("zero couplings", n=n)
-        uniform = _cyclic_kernel(ChainSpec(Topology.CYCLIC, n), guard)
-        row = [x / beta for x in uniform.odd]
-        return _Rows(row, row, n)
+        uniform = _cyclic_kernel(ChainSpec(Topology.CYCLIC, n))
+        return _Circulant(n, tuple(x / beta for x in uniform.values))
     if n < 4:
         raise CycleTooSmall("cyclic bond alternation needs N >= 4")
     if beta == 0 or alpha == 0:
@@ -153,21 +156,18 @@ def _alternating_cyclic_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
     if den == 0:
         case = "N=4k" if alpha == beta else "alternating denominator"
         raise SingularMatrix(case, n=n)
-    guard(n)
-    powers = accumulate(repeat(ratio, n // 2 - 1), mul,
-                        initial=-1 / (beta * den))
-    return _bipartite(powers, n, n)
+    return _Bipartite(n, n, -1 / (beta * den), ratio)
 
 
-def _entry_kernel(spec: ChainSpec, guard=_unguarded) -> _Rows:
-    """Validate ``spec`` once, then call ``guard(N)`` and return its rows."""
+def _entry_kernel(spec: ChainSpec) -> _Rows:
+    """Validate ``spec`` once and return its form, O(1) data per chain."""
     if spec.topology is Topology.OPEN:
         if spec.is_uniform:
-            return _open_kernel(spec, guard)
-        return _alternating_open_kernel(spec, guard)
+            return _open_kernel(spec)
+        return _alternating_open_kernel(spec)
     if spec.is_uniform:
-        return _cyclic_kernel(spec, guard)
-    return _alternating_cyclic_kernel(spec, guard)
+        return _cyclic_kernel(spec)
+    return _alternating_cyclic_kernel(spec)
 
 
 def green_entry(q: GreenEntryQuery) -> Rational:
@@ -176,12 +176,15 @@ def green_entry(q: GreenEntryQuery) -> Rational:
 
 
 def green_matrix(spec: ChainSpec) -> ExactMatrix:
-    """The full matrix in O(N^2): the O(N) rows, built once past the memory
-    guard, then N windows, row r of G being the N entries from offset 1 - r
-    of the doubled row of r's parity.  No entry is looked up alone."""
-    even, odd, period = _entry_kernel(spec, guard_dense)
-    n = spec.n_sites
-    doubled = (even + even, odd + odd)
+    """The full matrix in O(N^2), past the spec's refusals and the memory
+    guard: row r of G is the N entries from offset 1 - r of the doubled
+    O(N) row of r's parity, the even row being the odd one reflected,
+    G(r, s) = G(s, r).  No entry is looked up alone."""
+    form = _entry_kernel(spec)
+    n, period = spec.n_sites, form.period
+    guard_dense(n)
+    odd = form.odd_row()
+    doubled = [row + row for row in (odd[:1] + odd[:0:-1], odd)]
     data = []
     for r in range(1, n + 1):
         start = (1 - r) % period

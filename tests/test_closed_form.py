@@ -257,25 +257,47 @@ def test_green_matrix_matches_entrywise(topology, beta, alpha, sizes,
 
 
 # One chain per form at the memory guard's edge; the uniform ring N = 1024
-# is N = 4k, so it is N = 1022.  green_entry rebuilds the rows per call, so
-# every entry is read from the one `_Rows` it reads, and a few through it.
+# is N = 4k, so it is N = 1022.  green_entry validates the spec per call,
+# so every entry is read through the one form it builds, and a few through
+# green_entry itself.
 @pytest.mark.parametrize("spec", [
     ChainSpec(Topology.OPEN, 1024),
     ChainSpec(Topology.OPEN, 1024, F(1, 3), F(2)),
     ChainSpec(Topology.CYCLIC, 1022),
-    ChainSpec(Topology.CYCLIC, 1024, F(3, 2), F(5, 7)),
+    ChainSpec(Topology.CYCLIC, 1024, F(1, 3), F(2)),
 ], ids=["open", "open-alternating", "ring", "ring-alternating"])
 def test_green_matrix_at_the_guard_edge_matches_entrywise(spec, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(closed_form._Rows, "__call__", refused_entry_call)
         g = green_matrix(spec).to_lists()
-    rows = closed_form._entry_kernel(spec)
+    form = closed_form._entry_kernel(spec)
     n = spec.n_sites
     sites = range(1, n + 1)
-    assert g == [[rows(r, s) for s in sites] for r in sites]
+    assert g == [[form(r, s) for s in sites] for r in sites]
     for r, s in ((1, 1), (1, n), (n, 1), (2, 1), (n // 2, n // 2 + 1),
                  (n // 3, n - 4)):
         assert g[r - 1][s - 1] == green_entry(GreenEntryQuery(spec, r, s))
+
+
+def refused_rows(form):
+    raise AssertionError("a single entry built the rows of its chain")
+
+
+# A single entry forms one power of alpha/beta, not the chain's O(N) rows,
+# whose N/2 powers would take O(N^2) bits: at N = 10^6 it is one
+# 1.3-million-bit value.
+def test_single_entry_at_large_n_builds_no_rows(monkeypatch):
+    monkeypatch.setattr(closed_form._Rows, "odd_row", refused_rows)
+    monkeypatch.setattr(closed_form._Bipartite, "odd_row", refused_rows)
+    n, beta, alpha = 10 ** 6, F(1, 3), F(2)
+    ratio = -alpha / beta
+    open_chain = ChainSpec(Topology.OPEN, n, beta, alpha)
+    assert green_entry(GreenEntryQuery(open_chain, n, 1)) == \
+        -ratio ** (n // 2 - 1) / beta
+    assert green_entry(GreenEntryQuery(open_chain, n, n - 2)) == 0
+    ring = ChainSpec(Topology.CYCLIC, n, beta, alpha)
+    assert green_entry(GreenEntryQuery(ring, 2, 1)) == \
+        -1 / (beta * (1 - ratio ** (n // 2)))
 
 
 @pytest.mark.parametrize("spec,error,message", [

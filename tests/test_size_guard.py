@@ -68,8 +68,8 @@ def test_closed_form_refusals_come_first_and_rows_after_the_guard(
     # guard comes before the O(N) rows, whose alternating powers would
     # take O(N^2) bits for a matrix that is refused anyway.
     monkeypatch.setenv("HUECKEL_MAX_CELLS", LIMIT)
-    monkeypatch.setattr(closed_form, "_Rows", refused_rows)
-    monkeypatch.setattr(closed_form, "_bipartite", refused_rows)
+    monkeypatch.setattr(closed_form._Rows, "odd_row", refused_rows)
+    monkeypatch.setattr(closed_form._Bipartite, "odd_row", refused_rows)
     with pytest.raises(error):
         green_matrix(spec)
 

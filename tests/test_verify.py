@@ -152,9 +152,9 @@ def test_open_reduction_evaluates_the_alternating_form(monkeypatch):
     # so a wrong alternating form still passed.
     real = closed_form._alternating_open_kernel
 
-    def off_by_a_seventh(spec, *guard):
-        rows = real(spec, *guard)
-        return rows._replace(odd=[x + Fraction(1, 7) for x in rows.odd])
+    def off_by_a_seventh(spec):
+        form = real(spec)
+        return form._replace(first=form.first + Fraction(1, 7))
 
     monkeypatch.setattr(closed_form, "_alternating_open_kernel",
                         off_by_a_seventh)
@@ -166,10 +166,10 @@ def test_cyclic_reduction_builds_one_kernel_per_ring(monkeypatch):
     real = closed_form._alternating_cyclic_kernel
     uniform_sizes = []
 
-    def counted(spec, *guard):
+    def counted(spec):
         if spec.is_uniform:
             uniform_sizes.append(spec.n_sites)
-        return real(spec, *guard)
+        return real(spec)
 
     monkeypatch.setattr(closed_form, "_alternating_cyclic_kernel", counted)
     assert report("alternating", 22)["alternating.uniform_reduction_cyclic"]
