@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .errors import (DegenerateAngle, IndexOutOfRange, InvalidSize,
                      NearSingularAngle, SingularMatrix, _as_index)
+from .exact import guard_dense
 
 
 def kahan_sum(values: Iterable[float]) -> float:
@@ -83,9 +84,11 @@ def direct_green_matrix(n: int) -> list[list[float]]:
     """Every entry of `direct_green_sum`, as rows of floats, in O(N^2).
 
     The matrix is Toeplitz minus Hankel: its N^2 entries are read from the
-    2N + 1 sums C(0), ..., C(2N), each formed once.
+    2N + 1 sums C(0), ..., C(2N), each formed once.  Guarded like every
+    dense builder.
     """
     _require_even_chain(n)
+    guard_dense(n)
     c = _cos_ratio_sums(n, range(2 * n + 1))
     scale = 2 * (n + 1)
     sites = range(1, n + 1)

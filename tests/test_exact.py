@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hueckel_green import (ChainSpec, ExactMatrix, SingularMatrix, Topology,
-                           build_hamiltonian, det_fraction_free, inverse_exact)
+from hueckel_green import (ChainSpec, ExactMatrix, LatticeSpec, SingularMatrix,
+                           Topology, build_hamiltonian,
+                           build_lattice_hamiltonian, det_fraction_free,
+                           inverse_exact)
 
-from oracles import cofactor_det, gauss_jordan_inverse, identity_rows, multiply
+from oracles import (cofactor_det, cofactor_inverse, gauss_jordan_inverse,
+                     identity_rows, multiply)
 
 F = Fraction
 rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
@@ -70,9 +73,19 @@ def test_inverse_exact_matches_oracle(data):
     assert multiply(rows, inv.to_lists()) == identity_rows(n)
 
 
+def assert_inverse_matches_cofactor_oracle(m):
+    rows = m.to_lists()
+    if cofactor_det(rows) == 0:
+        with pytest.raises(SingularMatrix):
+            inverse_exact(m)
+    else:
+        assert inverse_exact(m).to_lists() == cofactor_inverse(rows)
+
+
 def test_bareiss_rational_chains_and_rings_match_cofactor_oracle():
     # Zero diagonals make every first pivot vanish, so each n >= 2 needs a
-    # row swap; rational couplings go through the integer scaling.
+    # row swap; rational couplings go through the integer scaling.  The
+    # determinant and the inverse are both checked, singular chains too.
     rng = random.Random(23)
 
     def coupling():
@@ -86,9 +99,14 @@ def test_bareiss_rational_chains_and_rings_match_cofactor_oracle():
             alpha = coupling() if n % 2 == 0 else beta
             h = build_hamiltonian(ChainSpec(topology, n, beta, alpha))
             assert det_fraction_free(h) == cofactor_det(h.to_lists())
+            assert_inverse_matches_cofactor_oracle(h)
     for _ in range(10):
         value = coupling()
         assert det_fraction_free(ExactMatrix.from_rows([[value]])) == value
+        assert_inverse_matches_cofactor_oracle(ExactMatrix.from_rows([[value]]))
     swap = [[F(0), F(2, 3), F(1, 5)], [F(3, 4), F(0), F(-1, 2)],
             [F(1, 7), F(5, 6), F(0)]]
     assert det_fraction_free(ExactMatrix.from_rows(swap)) == cofactor_det(swap)
+    assert_inverse_matches_cofactor_oracle(ExactMatrix.from_rows(swap))
+    h = build_lattice_hamiltonian(LatticeSpec(3, 4))
+    assert multiply(h.to_lists(), inverse_exact(h).to_lists()) == identity_rows(64)

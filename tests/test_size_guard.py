@@ -8,7 +8,8 @@ import pytest
 
 from hueckel_green import (ChainSpec, GreenEntryQuery, SingularMatrix,
                            TooLarge, Topology, TridiagonalSpec, ZeroCoupling,
-                           build_hamiltonian, closed_form, green_entry,
+                           build_hamiltonian, closed_form,
+                           direct_green_matrix, green_entry,
                            green_matrix, spectral_resolvent_entry,
                            spectral_resolvent_matrix, usmani_entry,
                            usmani_inverse)
@@ -28,6 +29,7 @@ def dense_builders(n):
         "usmani": lambda: usmani_inverse(TridiagonalSpec.from_chain(open_spec)),
         "spectral": lambda: spectral_resolvent_matrix(open_spec, 0.3),
         "spectral entry": lambda: spectral_resolvent_entry(open_spec, 1, 2, 0.3),
+        "direct sum": lambda: direct_green_matrix(n),
     }
 
 

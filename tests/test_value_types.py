@@ -88,6 +88,15 @@ def test_matrix_index_outside_is_index_out_of_range(i, j):
     assert str(err.value) == f"({i}, {j}) outside the 2x3 matrix"
 
 
+@pytest.mark.parametrize("i", [2, 5, -1])
+def test_matrix_row_outside_is_index_out_of_range(i):
+    # Regression: row(5) and row(-1) returned [] where get refused.
+    m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(IndexOutOfRange) as err:
+        m.row(i)
+    assert str(err.value) == f"row {i} outside the 2x3 matrix"
+
+
 RING = ChainSpec(Topology.CYCLIC, 6)
 
 NON_INTEGER_SITES = {
@@ -116,6 +125,7 @@ MATRIX = ExactMatrix.from_rows([[1, 2], [3, 4]])
 NON_INTEGER_INDICES = {
     "matrix_row": (lambda: MATRIX.get(1.0, 0), "row 1.0"),
     "matrix_column": (lambda: MATRIX.get(0, "1"), "column '1'"),
+    "matrix_whole_row": (lambda: MATRIX.row(1.0), "row 1.0"),
     "transmission_r": (lambda: transmission_proxy(MATRIX, 2.0, 1), "site r 2.0"),
     "transmission_s": (lambda: transmission_proxy(MATRIX, 1, 1.5), "site s 1.5"),
     "usmani_r": (lambda: usmani_entry(TRIDIAGONAL, 1.0, 2), "site r 1.0"),

@@ -70,8 +70,13 @@ random columns each with N = 128 and 256, entries as above.  At those
 sizes a reconstruction tried after every lifting step would succeed two
 to four steps before the count that the Hadamard bound fixes, where the
 inverse is reconstructed once; the rows show that both give the same
-rationals.  A library row compares the sha256 of the entries' `str`,
-or the error's type, message, `index` and exit code.
+rationals.  Then `det_fraction_free` and `inverse_exact`, each on the
+Hamiltonians of open chains and rings with N = 1-12 and (beta, alpha) =
+(1, 1), (2, -1/3) and (0, 2/3) wherever `ChainSpec` admits them, singular
+ones included; on the lattice Hamiltonians with N^d <= 64 and d <= 6; and
+on 40 seeded random matrices with n <= 8 and entries as above.  A
+library row compares the sha256 of the entries' `str`, or the error's
+type, message, `index` and exit code.
 
 For a `verify` request that differs, the sweep also lists the report rows
 (check ids, and `all`) whose text differs, and says whether only their
@@ -248,11 +253,15 @@ def grid() -> list[list[str]]:
         requests.append(["green", "--topology", "open", "--n", str(n),
                          "--method", "closed", "--format", "json",
                          "--transmission"])
-    return requests + [[CIRCULANT, *map(str, column)]
-                       for column in circulant_columns()]
+    requests += [[CIRCULANT, *map(str, column)]
+                 for column in circulant_columns()]
+    return requests + [[kernel, *matrix] for matrix in exact_matrices()
+                       for kernel in EXACT_KERNELS]
 
 
 CIRCULANT = "circulant_inverse_dft"
+EXACT_KERNELS = ("det_fraction_free", "inverse_exact")
+LIBRARY = (CIRCULANT, *EXACT_KERNELS)
 
 
 def circulant_columns() -> list[list[Fraction]]:
@@ -281,6 +290,28 @@ def circulant_columns() -> list[list[Fraction]]:
                 columns.append(column)
     columns.extend(entries(n) for n in LARGE_CIRCULANT_SIZES)
     return columns
+
+
+def exact_matrices() -> list[list[str]]:
+    """The matrices of the exact-kernel library rows, each named by the
+    call that builds it: `chain`, `lattice`, or `matrix` and its entries."""
+    matrices = []
+    for topology in ("open", "cyclic"):
+        for n in range(1, 13):
+            for beta, alpha in DOCUMENT_COUPLINGS:
+                if (topology == "cyclic" and n < 2) or (beta != alpha and n % 2):
+                    continue                  # refused by ChainSpec
+                matrices.append(["chain", topology, str(n), beta, alpha])
+    for d in range(1, 7):
+        matrices += [["lattice", str(d), str(n)] for n in range(1, 65)
+                     if n ** d <= 64]
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        matrices.append(["matrix", str(n), *(
+            str(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+            for _ in range(n * n))])
+    return matrices
 
 
 def cyclotomic(m: int) -> list[int]:
@@ -317,18 +348,38 @@ def run_one(main, argv: list[str]) -> list:
     return result + [text] if argv[0] == "verify" else result
 
 
-def run_circulant(column: list[str]) -> list:
-    """[sha256 of the inverse's entries, error line, exit code] of one
+def run_library(argv: list[str]) -> list:
+    """[sha256 of the result's entries, error line, exit code] of one
     library row."""
-    from hueckel_green import CirculantSpec, HueckelError, circulant_inverse_dft
+    import hueckel_green as hg
 
+    name, *params = argv
     try:
-        inverse = circulant_inverse_dft(CirculantSpec(tuple(map(Fraction, column))))
-    except HueckelError as err:
+        if name == CIRCULANT:
+            spec = hg.CirculantSpec(tuple(map(Fraction, params)))
+            entries = hg.circulant_inverse_dft(spec).first_column
+        else:
+            value = getattr(hg, name)(exact_matrix(hg, *params))
+            entries = ([x for row in value.to_lists() for x in row]
+                       if isinstance(value, hg.ExactMatrix) else [value])
+    except hg.HueckelError as err:
         return ["", f"{type(err).__name__}: {err} index="
                 f"{getattr(err, 'index', None)}", err.exit_code]
-    text = " ".join(map(str, inverse.first_column))
+    text = " ".join(map(str, entries))
     return [hashlib.sha256(text.encode()).hexdigest(), "", 0]
+
+
+def exact_matrix(hg, kind: str, *params: str):
+    """The matrix of an `exact_matrices` row."""
+    if kind == "chain":
+        topology, n, beta, alpha = params
+        return hg.build_hamiltonian(hg.ChainSpec(
+            hg.Topology(topology), int(n), coupling_odd=Fraction(beta),
+            coupling_even=Fraction(alpha)))
+    if kind == "lattice":
+        return hg.build_lattice_hamiltonian(hg.LatticeSpec(*map(int, params)))
+    n, *entries = params
+    return hg.ExactMatrix(int(n), int(n), list(map(Fraction, entries)))
 
 
 def report_rows(text: str) -> list[tuple[str, str, str]]:
@@ -358,7 +409,7 @@ def worker(src: str) -> None:
     from hueckel_green.cli import main
 
     for argv in grid():
-        result = (run_circulant(argv[1:]) if argv[0] == CIRCULANT
+        result = (run_library(argv) if argv[0] in LIBRARY
                   else run_one(main, argv))
         print(json.dumps(result), flush=True)
 
