@@ -22,8 +22,8 @@ from functools import reduce
 from operator import add
 
 from .errors import (AlternatingOddN, CycleTooSmall, EnergyAtPole,
-                     IndexOutOfRange, InvalidSize, UnsupportedCouplings,
-                     _as_index, _as_size)
+                     IndexOutOfRange, UnsupportedCouplings, _as_index,
+                     _as_size)
 from .exact import ExactMatrix, Rational, as_rational, guard_dense
 
 _ONE = Fraction(1)
@@ -54,9 +54,7 @@ class ChainSpec(namedtuple("ChainSpec",
                 coupling_odd: Rational = _ONE, coupling_even: Rational = _ONE):
         coupling_odd = as_rational(coupling_odd)
         coupling_even = as_rational(coupling_even)
-        n_sites = _as_size(n_sites, "n_sites")
-        if n_sites < 1:
-            raise InvalidSize("n_sites must be >= 1")
+        n_sites = _as_size(n_sites, "n_sites", 1)
         if topology is Topology.CYCLIC and n_sites < 2:
             raise CycleTooSmall("cyclic chain needs at least 2 sites")
         if coupling_odd != coupling_even and n_sites % 2:
@@ -70,10 +68,7 @@ class ChainSpec(namedtuple("ChainSpec",
 
     def check_site(self, index: int) -> int:
         """``index`` as an int, if it is a site of this chain."""
-        site = _as_index(index, "site")
-        if not 1 <= site <= self.n_sites:
-            raise IndexOutOfRange(f"site {index} outside 1..{self.n_sites}")
-        return site
+        return _as_index(index, "site", self.n_sites)
 
 
 def bond_coupling(spec: ChainSpec, bond: int) -> Rational:

@@ -25,8 +25,8 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .chains import ChainSpec, Topology
-from .errors import (CycleTooSmall, IndexOutOfRange, InvalidSize,
-                     SingularMatrix, ZeroCoupling, _as_index, _as_size)
+from .errors import (CycleTooSmall, SingularMatrix, ZeroCoupling,
+                     _as_site_pair, _as_size)
 from .exact import ExactMatrix, Rational, guard_dense
 from .trig import direct_green_sum
 
@@ -39,17 +39,13 @@ class GreenEntryQuery(namedtuple("GreenEntryQuery", "spec r s")):
     __slots__ = ()
 
     def __new__(cls, spec: ChainSpec, r: int, s: int):
-        r, s = _as_index(r, "site"), _as_index(s, "site")
-        if not (1 <= r <= spec.n_sites and 1 <= s <= spec.n_sites):
-            raise IndexOutOfRange(f"({r}, {s}) outside 1..{spec.n_sites}")
+        r, s = _as_site_pair(r, s, spec.n_sites, ("site", "site"))
         return super().__new__(cls, spec, r, s)
 
 
 def det_open(n: int) -> int:
     """Determinant of the uniform open chain: (-1)^(N/2) for even N, else 0."""
-    n = _as_size(n, "n")
-    if n < 1:
-        raise InvalidSize("n must be >= 1")
+    n = _as_size(n, "n", 1)
     if n % 2:
         return 0
     return -1 if (n // 2) % 2 else 1

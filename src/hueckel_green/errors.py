@@ -22,13 +22,16 @@ class InvalidSize(HueckelError, ValueError):
     catch that keep working."""
 
 
-def _as_size(value, name: str) -> int:
-    """``value`` as an int, refusing floats and other non-integers with an
-    InvalidSize that names it."""
+def _as_size(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int, refusing floats and other non-integers, and
+    with ``low`` sizes below it, with an InvalidSize that names it."""
     try:
-        return operator.index(value)
+        size = operator.index(value)
     except TypeError:
         raise InvalidSize(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and size < low:
+        raise InvalidSize(f"{name} must be >= {low}")
+    return size
 
 
 class AlternatingOddN(HueckelError):
@@ -52,13 +55,26 @@ class IndexOutOfRange(HueckelError, IndexError):
     """Site or matrix index outside its range; also an IndexError."""
 
 
-def _as_index(value, name: str) -> int:
-    """``value`` as an int, refusing floats and other non-integers with an
-    IndexOutOfRange that names it."""
+def _as_index(value, name: str, high: int | None = None) -> int:
+    """``value`` as an int, refusing floats and other non-integers, and
+    with ``high`` indices outside 1..high, with an IndexOutOfRange that
+    names it."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise IndexOutOfRange(f"{name} {value!r} is not an integer") from None
+    if high is not None and not 1 <= index <= high:
+        raise IndexOutOfRange(f"{name} {index} outside 1..{high}")
+    return index
+
+
+def _as_site_pair(r, s, high: int, names=("site r", "site s")) -> tuple[int, int]:
+    """Sites ``r`` and ``s`` as ints, each named by ``names`` if it is not
+    an integer, and refused together unless both lie in 1..high."""
+    r, s = _as_index(r, names[0]), _as_index(s, names[1])
+    if not (1 <= r <= high and 1 <= s <= high):
+        raise IndexOutOfRange(f"({r}, {s}) outside 1..{high}")
+    return r, s
 
 
 class ZeroCoupling(HueckelError):
@@ -66,7 +82,8 @@ class ZeroCoupling(HueckelError):
 
 
 class TooLarge(HueckelError):
-    """Request exceeds the configured memory guard."""
+    """Request exceeds the configured memory guard, or a number past the
+    range where the number theory answers with a proof."""
 
 
 class NotSingular(HueckelError):

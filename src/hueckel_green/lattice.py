@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .chains import ChainSpec, Topology, _eigenvalues, _mode_row
-from .errors import (BudgetExhausted, IndexOutOfRange, InvalidSize,
-                     SingularLattice, TooLarge, _as_index, _as_size)
+from .errors import (BudgetExhausted, IndexOutOfRange, SingularLattice,
+                     TooLarge, _as_index, _as_size)
 from .exact import ExactMatrix, guard_dense, max_cells
 from .vanishing_sums import InvertibilityQuery, find_vanishing_witness, is_invertible
 
@@ -40,13 +40,8 @@ class LatticeSpec(namedtuple("LatticeSpec", "dim linear_size")):
     __slots__ = ()
 
     def __new__(cls, dim: int, linear_size: int):
-        dim = _as_size(dim, "dimension")
-        linear_size = _as_size(linear_size, "linear size")
-        if dim < 1:
-            raise InvalidSize("dimension must be >= 1")
-        if linear_size < 1:
-            raise InvalidSize("linear size must be >= 1")
-        return super().__new__(cls, dim, linear_size)
+        return super().__new__(cls, _as_size(dim, "dimension", 1),
+                               _as_size(linear_size, "linear size", 1))
 
     @property
     def total_sites(self) -> int:
@@ -81,10 +76,7 @@ def flatten(spec: LatticeSpec, mi: MultiIndex) -> int:
 
 
 def unflatten(spec: LatticeSpec, flat: int) -> MultiIndex:
-    flat = _as_index(flat, "flat index")
-    if not 1 <= flat <= spec.total_sites:
-        raise IndexOutOfRange(f"flat index {flat} outside 1..{spec.total_sites}")
-    rem = flat - 1
+    rem = _as_index(flat, "flat index", spec.total_sites) - 1
     coords = []
     for _ in range(spec.dim):
         coords.append(rem % spec.linear_size + 1)

@@ -16,8 +16,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .chains import ChainSpec, Topology, bond_coupling
-from .errors import (IndexOutOfRange, InvalidSize, SingularMatrix,
-                     UnsupportedCouplings, _as_index)
+from .errors import (InvalidSize, SingularMatrix, UnsupportedCouplings,
+                     _as_site_pair)
 from .exact import (ExactMatrix, Rational, as_rational, guard_dense,
                     over_common_denominator)
 
@@ -128,10 +128,7 @@ def usmani_entry(spec: TridiagonalSpec, r: int, s: int,
     O(N) covers building the tables when none are passed; with them it is
     O(|r - s|) for the coupling product.
     """
-    n = spec.n
-    r, s = _as_index(r, "site r"), _as_index(s, "site s")
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise IndexOutOfRange(f"({r}, {s}) outside 1..{n}")
+    r, s = _as_site_pair(r, s, spec.n)
     tables = require_invertible(spec, tables)
     lo, hi = min(r, s), max(r, s)
     prod = math.prod((spec.sup if r < s else spec.sub)[lo - 1:hi - 1],

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .errors import (DegenerateAngle, IndexOutOfRange, InvalidSize,
-                     NearSingularAngle, SingularMatrix, _as_index)
+from .errors import (DegenerateAngle, InvalidSize, NearSingularAngle,
+                     SingularMatrix, _as_site_pair, _as_size)
 from .exact import guard_dense
 
 
@@ -57,11 +57,20 @@ def _cos_ratio_sums(n: int, ms: Iterable[int]) -> list[float]:
     return [math.fsum(table[m * k % period] / table[k] for k in ks) for m in ms]
 
 
-def _require_even_chain(n: int) -> None:
+def _require_even_chain(n: int) -> int:
+    n = _as_size(n, "N")
     if n < 1:
         raise InvalidSize(f"N must be >= 1, got N={n}")
     if n % 2:
         raise SingularMatrix("N odd", n=n)
+    return n
+
+
+def _require_positive_even(n: int) -> int:
+    n = _as_size(n, "N")
+    if n % 2 or n < 2:
+        raise InvalidSize("N must be a positive even integer")
+    return n
 
 
 def direct_green_sum(n: int, r: int, s: int) -> float:
@@ -72,10 +81,8 @@ def direct_green_sum(n: int, r: int, s: int) -> float:
     bit for bit its entry of `direct_green_matrix`.  Defined for even N
     only; for odd N one of the cosines vanishes and the sum has a pole.
     """
-    _require_even_chain(n)
-    r, s = _as_index(r, "site r"), _as_index(s, "site s")
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise IndexOutOfRange(f"({r}, {s}) outside 1..{n}")
+    n = _require_even_chain(n)
+    r, s = _as_site_pair(r, s, n)
     near, far = _cos_ratio_sums(n, (abs(r - s), r + s))
     return (far - near) / (2 * (n + 1))
 
@@ -87,7 +94,7 @@ def direct_green_matrix(n: int) -> list[list[float]]:
     2N + 1 sums C(0), ..., C(2N), each formed once.  Guarded like every
     dense builder.
     """
-    _require_even_chain(n)
+    n = _require_even_chain(n)
     guard_dense(n)
     c = _cos_ratio_sums(n, range(2 * n + 1))
     scale = 2 * (n + 1)
@@ -121,10 +128,8 @@ def sine_ratio_sign(n: int, k: int) -> int:
     Returns the right-hand side after checking the float ratio agrees to
     1e-9.  k multiples of N+1 make both sines vanish.
     """
-    if n % 2 or n < 2:
-        raise InvalidSize("N must be a positive even integer")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    n = _require_positive_even(n)
+    k = _as_size(k, "k", 1)
     if k % (n + 1) == 0:
         raise DegenerateAngle(f"k = {k} is a multiple of N+1 = {n + 1}")
     expected = 1 if k % 2 else -1
@@ -142,8 +147,7 @@ def parity_zero_sum(n: int, q: int) -> float:
     so each pair cancels; the returned value is the float residual of that
     pairing (expected ~0).
     """
-    if n % 2 or n < 2:
-        raise InvalidSize("N must be a positive even integer")
+    n, q = _require_positive_even(n), _as_size(q, "q")
     if not 1 <= 2 * q <= n:
         raise ValueError("need 1 <= 2q <= N")
     np1 = n + 1

@@ -29,10 +29,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import count
+from math import gcd
 
-from .errors import BudgetExhausted, InvalidSize, _as_size
+from .errors import BudgetExhausted, TooLarge, _as_size
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
+# smallest_prime_divisor trial-divides up to here, so every n below 10^6
+# takes the plain trial-division path.
+_TRIAL_BOUND = 1000
+# `_is_word_prime` is exact below this (Sorenson and Webster, 2016).
+_WORD_PRIME_LIMIT = 318_665_857_834_031_151_167_461
 
 
 class InvertibilityQuery(namedtuple("InvertibilityQuery", "dim n")):
@@ -41,12 +48,8 @@ class InvertibilityQuery(namedtuple("InvertibilityQuery", "dim n")):
     __slots__ = ()
 
     def __new__(cls, dim: int, n: int):
-        dim, n = _as_size(dim, "dimension"), _as_size(n, "n")
-        if dim < 1:
-            raise InvalidSize("dimension must be >= 1")
-        if n < 2:
-            raise InvalidSize("n must be >= 2")
-        return super().__new__(cls, dim, n)
+        return super().__new__(cls, _as_size(dim, "dimension", 1),
+                               _as_size(n, "n", 2))
 
 
 class CosineWitness(namedtuple("CosineWitness", "ks")):
@@ -55,64 +58,55 @@ class CosineWitness(namedtuple("CosineWitness", "ks")):
     __slots__ = ()
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (den monic); remainder must be 0."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1]
-        out[i] = coef
+def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the integer polynomial ``num`` by the
+    monic ``den``, constant terms first, by long division from the top
+    once num's zero top coefficients are dropped.  The remainder is padded
+    with zeros to the trimmed length."""
+    rem = list(num)
+    while rem and rem[-1] == 0:
+        rem.pop()
+    deg = len(den) - 1
+    quotient = [0] * max(0, len(rem) - deg)
+    for i in range(len(rem) - 1 - deg, -1, -1):
+        coef = rem[i + deg]
         if coef:
+            quotient[i] = coef
             for j, d in enumerate(den):
-                num[i + j] -= coef * d
-    if any(num[:len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+                rem[i + j] -= coef * d
+    return quotient, rem
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, constant term first.
 
     Computed by exactly dividing x^m - 1 by the cyclotomic polynomials of
     all proper divisors; cached immutably.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return (-1, 1)
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
+    return _cyclotomic(_as_size(m, "m", 1))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
+            num, rem = _poly_divmod(num, _cyclotomic(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return tuple(num)
 
 
 def _divisible_by_cyclotomic(m: int, coeffs: list[int] | tuple[int, ...]) -> bool:
-    phi = cyclotomic_polynomial(m)
-    work = list(coeffs)
     if m % 2 == 0:
         # Phi_m divides x^(m/2) + 1: reduce by x^(m/2) = -1 first, which
         # halves a 2n-th-root cosine sum before the long division
         half = m // 2
-        for i in range(len(work) - 1, half - 1, -1):
-            work[i - half] -= work[i]
-        del work[half:]
-    work = _poly_trim(work)
-    deg_phi = len(phi) - 1
-    for i in range(len(work) - 1 - deg_phi, -1, -1):
-        coef = work[i + deg_phi]
-        if coef:
-            for j, d in enumerate(phi):
-                work[i + j] -= coef * d
-    return not any(work)
+        coeffs = list(coeffs)
+        for i in range(len(coeffs) - 1, half - 1, -1):
+            coeffs[i - half] -= coeffs[i]
+        del coeffs[half:]
+    return not any(_poly_divmod(coeffs, _cyclotomic(m))[1])
 
 
 def roots_of_unity_sum_is_zero(modulus: int, exponents) -> bool:
@@ -121,37 +115,110 @@ def roots_of_unity_sum_is_zero(modulus: int, exponents) -> bool:
     The sum is the polynomial of exponent counts modulo x^modulus - 1; it
     vanishes iff the modulus-th cyclotomic polynomial divides it.
     """
+    modulus = _as_size(modulus, "modulus", 1)
     coeffs = [0] * modulus
     for e in exponents:
-        coeffs[e % modulus] += 1
+        coeffs[_as_size(e, "exponent") % modulus] += 1
     return _divisible_by_cyclotomic(modulus, coeffs)
 
 
 def cosine_sum_is_zero_exact(n: int, ks) -> bool:
     """Exact decision of sum_i cos(k_i pi / n) = 0.
 
-    Each cosine is zeta_{2n}^{k} + zeta_{2n}^{-k} up to a harmless factor
-    of two, so the test reduces to a vanishing sum of 2n-th roots of unity.
+    Each cosine is zeta^k + zeta^-k = zeta^k - zeta^(n-k) up to a harmless
+    factor of two, zeta a primitive 2n-th root of unity, so the sum
+    vanishes iff the 2n-th cyclotomic polynomial divides
+    sum_i x^k_i - x^(n-k_i): the polynomial the x^n = -1 reduction of
+    `_divisible_by_cyclotomic` would leave of the 2n exponents.
     """
-    ks = tuple(ks)
-    if not all(1 <= k <= n - 1 for k in ks):
-        raise ValueError("each k must satisfy 1 <= k <= n-1")
-    exponents = [k for k in ks] + [2 * n - k for k in ks]
-    return roots_of_unity_sum_is_zero(2 * n, exponents)
+    n = _as_size(n, "n", 1)
+    coeffs = [0] * n
+    for k in ks:
+        k = _as_size(k, "k")
+        if not 1 <= k <= n - 1:
+            raise ValueError("each k must satisfy 1 <= k <= n-1")
+        coeffs[k] += 1
+        coeffs[n - k] -= 1
+    return _divisible_by_cyclotomic(2 * n, coeffs)
 
 
 def smallest_prime_divisor(n: int) -> int:
-    """Smallest prime dividing n (trial division; n >= 2)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    """Smallest prime dividing n >= 2.
+
+    Trial division by 2 and the odd f up to 1 000 answers every n below
+    10^6 and every n with a factor that small.  Past that, n is prime if
+    `_is_word_prime` says so, which is exact below 3.18e23, and otherwise
+    Pollard-Brent rho splits it (`_smallest_factor`): about p^(1/2)
+    multiplications for the smallest prime factor p, at most n^(1/4).
+    An n past 3.18e23 with no factor up to 1 000 is refused with TooLarge
+    rather than factored without a proof.
+    """
+    n = _as_size(n, "n", 2)
     if n % 2 == 0:
         return 2
     f = 3
-    while f * f <= n:
+    while f <= _TRIAL_BOUND and f * f <= n:
         if n % f == 0:
             return f
         f += 2
-    return n
+    if f * f > n:
+        return n
+    if n >= _WORD_PRIME_LIMIT:
+        raise TooLarge(
+            f"n = {n} has no prime factor up to {_TRIAL_BOUND} and lies past "
+            f"the proven Miller-Rabin range ({_WORD_PRIME_LIMIT})")
+    return _smallest_factor(n)
+
+
+def _smallest_factor(n: int) -> int:
+    """Smallest prime factor of an n below `_WORD_PRIME_LIMIT`."""
+    if _is_word_prime(n):
+        return n
+    f = _rho_factor(n)
+    return min(_smallest_factor(f), _smallest_factor(n // f))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard's rho with
+    Brent's cycle finding and gcds batched over 128 steps (Brent, BIT 20,
+    1980).  The walks x -> x^2 + c start at 2 with c = 1, 2, ... in turn,
+    so the answer is the same on every run."""
+    for c in count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:              # the batch overshot: replay it step by step
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
+
+
+def _verdict(q: InvertibilityQuery) -> tuple[bool, str]:
+    """`is_invertible` and `invertibility_reason` of one query."""
+    if q.dim % 2 == 0:
+        return False, "even dimension"
+    if q.n % 2 == 0:
+        return False, "N+1 even"
+    p = smallest_prime_divisor(q.n)
+    if q.dim < p:
+        return True, f"{q.dim} < {p}"
+    if p == q.n:
+        return True, "N+1 prime"
+    return False, f"{q.dim} >= {p}"
 
 
 def is_invertible(q: InvertibilityQuery) -> bool:
@@ -171,24 +238,12 @@ def is_invertible(q: InvertibilityQuery) -> bool:
     cos(k pi / n) with 1 <= k <= n-1 supplies, so a vanishing sum pairs
     each k with n - k and d is even.
     """
-    if q.n % 2 == 0 or q.dim % 2 == 0:
-        return False
-    p = smallest_prime_divisor(q.n)
-    return q.dim < p or p == q.n
+    return _verdict(q)[0]
 
 
 def invertibility_reason(q: InvertibilityQuery) -> str:
     """Short machine-readable justification for `is_invertible`."""
-    if q.dim % 2 == 0:
-        return "even dimension"
-    if q.n % 2 == 0:
-        return "N+1 even"
-    p = smallest_prime_divisor(q.n)
-    if q.dim < p:
-        return f"{q.dim} < {p}"
-    if p == q.n:
-        return "N+1 prime"
-    return f"{q.dim} >= {p}"
+    return _verdict(q)[1]
 
 
 def find_vanishing_witness(q: InvertibilityQuery,
@@ -211,14 +266,15 @@ def find_vanishing_witness(q: InvertibilityQuery,
     ``budget`` bounds the table entries plus the heads walked.  The table
     holds C(n - 2 + floor(d/2), floor(d/2)) entries; when that leaves no
     room for a head, BudgetExhausted is raised before anything is built,
-    otherwise once the walk would pass the budget.
+    otherwise once the walk would pass the budget.  At d = 1 the walk
+    reads at most ``budget`` modes, so only their keys are formed.
     """
-    n, d = q.n, q.dim
+    n, d, budget = q.n, q.dim, _as_size(budget, "budget")
     head_len, tail_len = d - d // 2, d // 2
     visited = _multiset_count(n, tail_len)
     if visited >= budget:
         raise _exhausted(q, budget)
-    p, keys = _cosine_keys(n)
+    p, keys = _cosine_keys(n, n if tail_len else min(n, budget + 1))
     levels = _sorted_multisets(n, tail_len, keys, p)
     table = _tail_table(*levels[tail_len])
     top = n ** (tail_len - 1) if tail_len else 0    # tail < k * top: first < k
@@ -262,7 +318,7 @@ def _sorted_multisets(n: int, size: int, keys, p: int) -> list[tuple[list, list]
     lexicographic order.  The j-multisets starting with k are k followed by
     the (j-1)-multisets starting at k or later, a suffix of level j-1.
     """
-    sums, packs, starts = [0], [0], [0] * n
+    sums, packs, starts = [0], [0], [0] * n if size else []
     levels = [(sums, packs)]
     for j in range(1, size + 1):
         high = n ** (j - 1)
@@ -301,12 +357,12 @@ def _unpack(packed: int, size: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _cosine_keys(n: int) -> tuple[int, list[int]]:
-    """p and the key zeta^k + zeta^-k mod p of every k in 0..n-1."""
+def _cosine_keys(n: int, size: int) -> tuple[int, list[int]]:
+    """p and the key zeta^k + zeta^-k mod p of every k below ``size``."""
     p, zeta = _key_prime(n)
     inverse = pow(zeta, -1, p)
     keys, up, down = [], 1, 1
-    for _ in range(n):
+    for _ in range(size):
         keys.append((up + down) % p)
         up, down = up * zeta % p, down * inverse % p
     return p, keys
@@ -316,11 +372,14 @@ def _cosine_keys(n: int) -> tuple[int, list[int]]:
 def _key_prime(n: int) -> tuple[int, int]:
     """The largest prime p = 1 (mod 2n) below 2^62, and the primitive 2n-th
     root of unity modulo p that `_root_of_unity` picks.  The cosine keys
-    here and the circulant's chirp-z transform both start from this pair."""
+    here and the circulant's chirp-z transform both start from this pair.
+    TooLarge if there is no such prime, as for n = 2^60 + 1."""
     m = 2 * n
     p = ((1 << 62) - 2) // m * m + 1
-    while not _is_word_prime(p):
+    while p > m and not _is_word_prime(p):
         p -= m
+    if p <= m:
+        raise TooLarge(f"no key prime p = 1 (mod 2n) lies below 2^62 for n = {n}")
     return p, _root_of_unity(m, p)
 
 

@@ -183,6 +183,14 @@ def long_division_divisible(m: int, coeffs) -> bool:
     return not any(work)
 
 
+def trial_division_smallest_prime(n: int) -> int:
+    """Smallest prime dividing n >= 2, by trying every f up to sqrt(n)."""
+    for f in range(2, math.isqrt(n) + 1):
+        if n % f == 0:
+            return f
+    return n
+
+
 class NotSymmetric(ValueError):
     """`symmetric_eigenvalues` was given a matrix that is not symmetric."""
 

@@ -8,9 +8,12 @@ from hueckel_green import (ChainSpec, CirculantSpec, CosineWitness,
                            ExactMatrix, GreenEntryQuery, HueckelError,
                            IndexOutOfRange, InvalidSize, InvertibilityQuery,
                            LatticeSpec, MultiIndex, Topology, TridiagonalSpec,
-                           cyclic_inverse_first_column, cyclic_kernel_basis,
-                           det_cyclic, det_open, direct_green_sum,
-                           green_entry, spectral_resolvent_entry,
+                           cosine_sum_is_zero_exact, cyclic_inverse_first_column,
+                           cyclic_kernel_basis, cyclotomic_polynomial,
+                           det_cyclic, det_open, direct_green_matrix,
+                           direct_green_sum, find_vanishing_witness,
+                           green_entry, roots_of_unity_sum_is_zero,
+                           smallest_prime_divisor, spectral_resolvent_entry,
                            symbol_factorization_inverse, theta_phi,
                            transmission_proxy, unflatten, usmani_entry)
 from hueckel_green.trig import parity_zero_sum, sine_ratio_sign
@@ -165,6 +168,23 @@ NON_INTEGER_SIZES = {
     "cyclic_inverse": (lambda: cyclic_inverse_first_column(6.0), "N", 6.0),
     "symbol_inverse": (lambda: symbol_factorization_inverse(5.0), "N", 5.0),
     "cyclic_kernel": (lambda: cyclic_kernel_basis(4.0), "N", 4.0),
+    "direct_sum": (lambda: direct_green_sum(4.0, 1, 2), "N", 4.0),
+    "direct_sum_odd": (lambda: direct_green_sum(1.5, 1, 1), "N", 1.5),
+    "direct_matrix": (lambda: direct_green_matrix(4.0), "N", 4.0),
+    "parity_sum": (lambda: parity_zero_sum(4.0, 1), "N", 4.0),
+    "parity_sum_q": (lambda: parity_zero_sum(4, 1.0), "q", 1.0),
+    "sine_ratio": (lambda: sine_ratio_sign(4.0, 1), "N", 4.0),
+    "sine_ratio_k": (lambda: sine_ratio_sign(4, 1.0), "k", 1.0),
+    "cosine_sum": (lambda: cosine_sum_is_zero_exact(5, (1.0, 4.0)), "k", 1.0),
+    "cosine_sum_n": (lambda: cosine_sum_is_zero_exact(5.0, (1, 4)), "n", 5.0),
+    "roots_modulus": (lambda: roots_of_unity_sum_is_zero(3.0, (0, 1, 2)),
+                      "modulus", 3.0),
+    "roots_exponent": (lambda: roots_of_unity_sum_is_zero(3, (0, 1.0, 2)),
+                       "exponent", 1.0),
+    "cyclotomic": (lambda: cyclotomic_polynomial(6.0), "m", 6.0),
+    "prime_divisor": (lambda: smallest_prime_divisor(9.0), "n", 9.0),
+    "witness_budget": (lambda: find_vanishing_witness(
+        InvertibilityQuery(3, 9), budget=100.0), "budget", 100.0),
 }
 
 
@@ -173,7 +193,10 @@ NON_INTEGER_SIZES = {
 def test_non_integer_sizes_raise_invalid_size(build, name, size):
     # Regression: InvertibilityQuery(3, 9.0) was accepted and its witness
     # search never ended, det_cyclic(6.0) and det_open(4.0) answered, and
-    # the circulant routes ended in a bare TypeError.
+    # the circulant routes ended in a bare TypeError.  So did the trig and
+    # number-theory routes, except that direct_green_sum(1.5, 1, 1) called
+    # N odd, sine_ratio_sign(4.0, 1) and smallest_prime_divisor(9.0)
+    # answered, and cyclotomic_polynomial(6.0) answered once 6 was cached.
     with pytest.raises(InvalidSize) as err:
         build()
     assert str(err.value) == f"{name} must be an integer, got {size!r}"

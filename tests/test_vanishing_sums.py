@@ -1,6 +1,11 @@
 """Invertibility predicate, cyclotomic zero oracle and witness search."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,19 @@ from hueckel_green import (BudgetExhausted, CosineWitness, InvertibilityQuery,
                            is_invertible, roots_of_unity_sum_is_zero,
                            smallest_prime_divisor, vanishing_sums)
 from oracles import (float_pruned_witness, long_division_divisible,
-                     symmetric_eigenvalues)
+                     symmetric_eigenvalues, trial_division_smallest_prime)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_isolated(args, timeout):
+    """``python args`` with this tree's package, in its own process so
+    that a hang fails the test by the timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_cosine_zero_examples():
@@ -217,8 +234,84 @@ def test_budget_counts_table_entries_and_heads():
 
 def test_key_prime_is_the_shared_miller_rabin_prime():
     for n in (2, 3, 29, 31, 60):
-        p, keys = vanishing_sums._cosine_keys(n)
+        p, keys = vanishing_sums._cosine_keys(n, n)
         assert p % (2 * n) == 1 and p < 1 << 62
         assert vanishing_sums._is_word_prime(p)
         assert len(keys) == n
         assert (keys[n // 2] == 0) == (n % 2 == 0)   # cos(pi/2) = 0
+
+
+def test_smallest_prime_divisor_matches_trial_division():
+    for n in range(2, 100_001):
+        assert smallest_prime_divisor(n) == trial_division_smallest_prime(n), n
+
+
+@pytest.mark.parametrize("p", [1009, 1013, 4999, 65_537, 1_000_003])
+def test_smallest_prime_divisor_of_factors_past_the_trial_bound(p):
+    # no factor up to 1 000, so Miller-Rabin and rho decide these
+    for q in (p, 1_000_033, 10_000_019):
+        assert smallest_prime_divisor(p * q) == min(p, q)
+        assert smallest_prime_divisor(p * p * q) == min(p, q)
+        assert smallest_prime_divisor(q * q) == q
+    assert smallest_prime_divisor(p ** 3) == p
+
+
+@pytest.mark.parametrize("n, expected", [
+    ((10**9 + 7) * (10**9 + 9), 10**9 + 7),
+    (10**17 + 3, 10**17 + 3),
+])
+def test_smallest_prime_divisor_of_large_n_is_fast(n, expected):
+    # Regression: trial division to sqrt(n) took 1.5 s at n = 10^15 + 37
+    # and about 5 * 10^8 steps for the product of the twin primes.
+    code = ("import time; from hueckel_green import smallest_prime_divisor; "
+            f"t = time.perf_counter(); p = smallest_prime_divisor({n}); "
+            "print(p, time.perf_counter() - t)")
+    result = run_isolated(["-c", code], timeout=20)
+    p, seconds = result.stdout.split()
+    assert int(p) == expected and float(seconds) < 1.0
+
+
+def test_invertible_past_the_miller_rabin_range_is_refused():
+    # a prime past 3.18e23 has no factor up to 1 000 and no proof of
+    # primality here, so it is refused rather than trial-divided for days
+    result = run_isolated(["-m", "hueckel_green", "invertible", "--d", "3",
+                           "--n-plus-one", "318665857834031151167483"],
+                          timeout=20)
+    assert result.returncode == 3
+    assert result.stderr.startswith("TooLarge: ")
+    assert "Miller-Rabin" in result.stderr
+
+
+def test_invertible_prime_n_plus_one_answers_within_a_second():
+    result = run_isolated(["-m", "hueckel_green", "invertible", "--d", "3",
+                           "--n-plus-one", str(10**17 + 3)], timeout=20)
+    assert result.returncode == 0
+    assert result.stdout == (
+        '{"invertible": true, "reason": "3 < 100000000000000003"}\n')
+
+
+@pytest.mark.parametrize("n", [2**60 + 1, 2**61 + 1])
+def test_witness_search_without_a_key_prime_is_refused(n):
+    # Regression: no prime p = 1 (mod 2n) lies below 2^62, and the key
+    # prime search stepped down through the negative numbers forever.
+    result = run_isolated(["-m", "hueckel_green", "invertible", "--d", "1",
+                           "--n-plus-one", str(n), "--witness"], timeout=20)
+    assert result.returncode == 3
+    assert result.stderr.startswith("TooLarge: ")
+    assert "2^62" in result.stderr
+
+
+def test_one_dimensional_search_holds_only_what_its_budget_can_walk():
+    # Regression: at d = 1 all n keys, and a list of n table starts, were
+    # formed before the budget was read: 1.0 s and 137 MB of peak RSS at
+    # n = 2 000 001 for a budget of 1 000.
+    query = InvertibilityQuery(1, 2_000_001)
+    vanishing_sums._key_prime(query.n)      # cached, O(1) memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted):
+            find_vanishing_witness(query, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
