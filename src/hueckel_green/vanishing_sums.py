@@ -31,6 +31,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import count
 from math import gcd
+from typing import Iterator
 
 from .errors import BudgetExhausted, TooLarge, _as_size
 
@@ -106,7 +107,10 @@ def _divisible_by_cyclotomic(m: int, coeffs: list[int] | tuple[int, ...]) -> boo
         for i in range(len(coeffs) - 1, half - 1, -1):
             coeffs[i - half] -= coeffs[i]
         del coeffs[half:]
-    return not any(_poly_divmod(coeffs, _cyclotomic(m))[1])
+    # The zero polynomial, which cosines paired k with n - k leave, is
+    # divisible by Phi_m without forming it: forming Phi_4000000 takes
+    # minutes.
+    return not any(coeffs) or not any(_poly_divmod(coeffs, _cyclotomic(m))[1])
 
 
 def roots_of_unity_sum_is_zero(modulus: int, exponents) -> bool:
@@ -266,18 +270,30 @@ def find_vanishing_witness(q: InvertibilityQuery,
     ``budget`` bounds the table entries plus the heads walked.  The table
     holds C(n - 2 + floor(d/2), floor(d/2)) entries; when that leaves no
     room for a head, BudgetExhausted is raised before anything is built,
-    otherwise once the walk would pass the budget.  At d = 1 the walk
-    reads at most ``budget`` modes, so only their keys are formed.
+    otherwise once the walk would pass the budget.  At d = 1 the table
+    holds the empty tail and the walk has one empty prefix, reading
+    k = 1, 2, ... in order, so each key is formed as it is read and none
+    is kept.
     """
     n, d, budget = q.n, q.dim, _as_size(budget, "budget")
     head_len, tail_len = d - d // 2, d // 2
     visited = _multiset_count(n, tail_len)
     if visited >= budget:
         raise _exhausted(q, budget)
-    p, keys = _cosine_keys(n, n if tail_len else min(n, budget + 1))
+    p, keys = _key_prime(n)[0], _cosine_keys(n)
+    if d == 1:
+        next(keys)                                  # k = 0 is no mode
+        stop = min(n, budget)
+        for k, key in zip(range(1, stop), keys):
+            if not key and cosine_sum_is_zero_exact(n, (k,)):
+                return CosineWitness((k,))
+        if stop < n:
+            raise _exhausted(q, budget)
+        return None
+    keys = list(keys)
     levels = _sorted_multisets(n, tail_len, keys, p)
     table = _tail_table(*levels[tail_len])
-    top = n ** (tail_len - 1) if tail_len else 0    # tail < k * top: first < k
+    top = n ** (tail_len - 1)                       # tail < k * top: first < k
     for prefix_key, prefix in zip(*levels[head_len - 1]):
         low = prefix % n or 1                       # the head's last is >= low
         stop = min(n, low + budget - visited)
@@ -318,7 +334,7 @@ def _sorted_multisets(n: int, size: int, keys, p: int) -> list[tuple[list, list]
     lexicographic order.  The j-multisets starting with k are k followed by
     the (j-1)-multisets starting at k or later, a suffix of level j-1.
     """
-    sums, packs, starts = [0], [0], [0] * n if size else []
+    sums, packs, starts = [0], [0], [0] * n
     levels = [(sums, packs)]
     for j in range(1, size + 1):
         high = n ** (j - 1)
@@ -357,15 +373,16 @@ def _unpack(packed: int, size: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _cosine_keys(n: int, size: int) -> tuple[int, list[int]]:
-    """p and the key zeta^k + zeta^-k mod p of every k below ``size``."""
+def _cosine_keys(n: int) -> Iterator[int]:
+    """The keys zeta^k + zeta^-k mod p of k = 0, 1, ..., n - 1 in order,
+    p and zeta from `_key_prime`, each formed from the running powers of
+    zeta as it is read."""
     p, zeta = _key_prime(n)
     inverse = pow(zeta, -1, p)
-    keys, up, down = [], 1, 1
-    for _ in range(size):
-        keys.append((up + down) % p)
+    up = down = 1
+    for _ in range(n):
+        yield (up + down) % p
         up, down = up * zeta % p, down * inverse % p
-    return p, keys
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ Most checks pit two independent routes against each other (closed form vs.
 engine, exact vs. float, predicate vs. exhaustive search) and report a worst
 residual.  The inverse checks (`open.identity`, `cyclic.identity` and
 `alternating.*_vs_exact_inverse`) are exact certificates H·(-G) = I instead,
-computed in scaled integers over the nonzeros of H, so O(N^2) each.  They are
-as conclusive as a second inversion: for square H, H·X = I fixes X = H^-1.
+read from the structure of H: in scaled integers over a chain's `bonds`,
+O(N^2), and on a ring's first column, O(N); only `cyclic.det_table` builds
+H.  They are as conclusive as a second inversion: H·X = I fixes X = H^-1.
 The float `lattice.*` checks are certificates too, built from the analytic
 tensor eigenpairs and the nonzeros of the built lattice Hamiltonian: H v =
 lambda v for every vector of an orthonormal basis fixes the whole spectrum,
@@ -26,14 +27,15 @@ from operator import mul, sub, truediv
 from typing import Iterator
 
 from . import closed_form, trig
-from .chains import (ChainSpec, Topology, _eigenvalues, _mode_row,
+from .chains import (ChainSpec, Topology, _eigenvalues, _mode_row, bonds,
                      build_hamiltonian, float_rows)
 from .circulant import (cyclic_inverse_first_column, cyclic_kernel_basis,
                         det_cyclic, symbol_factorization_inverse)
 from .closed_form import CYCLIC_PATTERNS, green_matrix
 from .errors import InvalidSize, SingularLattice, SingularMatrix
 # inverse_exact stays bound although unused: perfbench/spans.py patches it here.
-from .exact import ExactMatrix, det_fraction_free, inverse_exact, mat_vec  # noqa: F401
+from .exact import (ExactMatrix, det_fraction_free,  # noqa: F401
+                    inverse_exact, over_common_denominator)
 # lattice_green_matrix stays bound although unused: perfbench/spans.py
 # patches it here.
 from .lattice import (LatticeSpec, build_lattice_hamiltonian,  # noqa: F401
@@ -60,28 +62,21 @@ def _exact(check_id: str, ok: bool) -> dict:
     return _check(check_id, ok, 0.0 if ok else 1.0)
 
 
-def _inverse_certificate(h: ExactMatrix, g: ExactMatrix) -> bool:
-    """True iff g = -h^-1, checked as h·g = -I in integers.
-
-    Only the nonzeros of h are visited, so a chain (at most two per row)
-    costs O(N^2).  A singular h fails for every g.
-    """
-    n = h.rows
-    if not h.cols == g.rows == g.cols == n:
+def _inverse_certificate(spec: ChainSpec, g: ExactMatrix) -> bool:
+    """True iff g = -H^-1, H the Hamiltonian of spec: with H = A / a and
+    g = B / b in integers, iff A·B + a b I = 0, summed over the `bonds` of
+    H in O(N^2).  A singular H fails for every g."""
+    n = spec.n_sites
+    if not g.rows == g.cols == n:
         return False
-    hs, dh = h.scaled_rows()
-    gs, dg = g.scaled_rows()
-    diagonal = -dh * dg
-    for i, h_row in enumerate(hs):
-        acc = [0] * n
-        for k, a in enumerate(h_row):
-            if a:
-                acc = [x + a * y for x, y in zip(acc, gs[k])]
-        want = [0] * n
-        want[i] = diagonal
-        if acc != want:
-            return False
-    return True
+    edges = bonds(spec)
+    couplings, a = over_common_denominator([c for _, _, c in edges])
+    rows, b = g.scaled_rows()
+    acc = [[0] * i + [a * b] + [0] * (n - 1 - i) for i in range(n)]
+    for (i, j, _), c in zip(edges, couplings):
+        acc[i] = [x + c * y for x, y in zip(acc[i], rows[j])]
+        acc[j] = [x + c * y for x, y in zip(acc[j], rows[i])]
+    return not any(map(any, acc))
 
 
 def _float_rows(m: ExactMatrix) -> list[list[float]]:
@@ -102,13 +97,11 @@ def suite_open(max_n: int, rng: random.Random) -> list[dict]:
     for n in sizes:
         spec = ChainSpec(Topology.OPEN, n)
         g = green_matrix(spec)
-        h = build_hamiltonian(spec)
         vs_usmani &= usmani_inverse(-TridiagonalSpec.from_chain(spec)) == g
-        identity &= _inverse_certificate(h, g)
+        identity &= _inverse_certificate(spec, g)
         entries &= set(g._data) <= _ALLOWED_OPEN
-        gf = _float_rows(g)
-        numeric = [[-x for x in row] for row in lu_inverse(float_rows(spec))]
-        vs_numeric = max(vs_numeric, _max_gap(numeric, gf))
+        numeric = lu_inverse(float_rows(spec, sign=-1))
+        vs_numeric = max(vs_numeric, _max_gap(numeric, _float_rows(g)))
     harmonic = _direct_vs_closed(max_n)
     n = max(2, max_n - max_n % 2)
     semi = _semiseparable_upper(
@@ -159,20 +152,14 @@ def suite_cyclic(max_n: int, rng: random.Random) -> list[dict]:
             continue
         rec = cyclic_inverse_first_column(n)
         routes &= symbol_factorization_inverse(n).first_column == rec.first_column
-        g = ExactMatrix.from_rows(
-            [[-rec.first_column[(r - s) % n] for s in range(n)] for r in range(n)])
-        identity &= _inverse_certificate(
-            build_hamiltonian(ChainSpec(Topology.CYCLIC, n)), g)
+        identity &= _ring_times(rec.first_column) == [1] + [0] * (n - 1)
         pattern &= _cyclic_pattern_holds(n, rec.first_column)
         symmetric &= rec.is_symmetric
     dets = all(det_cyclic(n) == det_fraction_free(
         build_hamiltonian(ChainSpec(Topology.CYCLIC, n)))
         for n in range(2, min(max_n, 64) + 1))
-    kernels = True
-    for n in range(4, max_n + 1, 4):
-        h = build_hamiltonian(ChainSpec(Topology.CYCLIC, n))
-        for v in cyclic_kernel_basis(n):
-            kernels &= all(x == 0 for x in mat_vec(h, [Fraction(c) for c in v]))
+    kernels = all(not any(_ring_times(v)) for n in range(4, max_n + 1, 4)
+                  for v in cyclic_kernel_basis(n))
     return [
         _exact("cyclic.recurrence_vs_symbol", routes),
         _exact("cyclic.identity", identity),
@@ -181,6 +168,12 @@ def suite_cyclic(max_n: int, rng: random.Random) -> list[dict]:
         _exact("cyclic.det_table", dets),
         _exact("cyclic.kernel", kernels),
     ]
+
+
+def _ring_times(x) -> list:
+    """(S + S^-1) x on the uniform ring, in O(N): for the circulant X of
+    first column x, the first column of the circulant (S + S^-1) X."""
+    return [x[r - 1] + x[(r + 1) % len(x)] for r in range(len(x))]
 
 
 def _cyclic_pattern_holds(n: int, column) -> bool:
@@ -207,14 +200,14 @@ def suite_alternating(max_n: int, rng: random.Random) -> list[dict]:
         n_open = 2 * rng.randint(1, max(1, max_n // 2))
         spec = ChainSpec(Topology.OPEN, n_open, beta, alpha)
         g = green_matrix(spec)
-        open_ok &= _inverse_certificate(build_hamiltonian(spec), g)
+        open_ok &= _inverse_certificate(spec, g)
         n_cyc = 2 * rng.randint(2, max(2, max_n // 2))
         spec = ChainSpec(Topology.CYCLIC, n_cyc, beta, alpha)
         try:
             g = green_matrix(spec)
         except SingularMatrix:
             continue    # vanishing geometric denominator: genuinely singular
-        cyclic_ok &= _inverse_certificate(build_hamiltonian(spec), g)
+        cyclic_ok &= _inverse_certificate(spec, g)
     reduce_open = all(
         _reduces(closed_form._alternating_open_kernel, ChainSpec(Topology.OPEN, n))
         for n in range(2, max_n + 1, 2))

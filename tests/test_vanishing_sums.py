@@ -234,7 +234,8 @@ def test_budget_counts_table_entries_and_heads():
 
 def test_key_prime_is_the_shared_miller_rabin_prime():
     for n in (2, 3, 29, 31, 60):
-        p, keys = vanishing_sums._cosine_keys(n, n)
+        p = vanishing_sums._key_prime(n)[0]
+        keys = list(vanishing_sums._cosine_keys(n))
         assert p % (2 * n) == 1 and p < 1 << 62
         assert vanishing_sums._is_word_prime(p)
         assert len(keys) == n
@@ -315,3 +316,37 @@ def test_one_dimensional_search_holds_only_what_its_budget_can_walk():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_one_dimensional_search_forms_each_key_as_it_is_read():
+    # Regression: at the default budget the d = 1 search formed
+    # min(n, budget + 1) keys before its walk, 106 MB past the post-import
+    # peak RSS at n = 2 000 001.  ru_maxrss is in KiB on Linux.
+    code = ("import resource; from hueckel_green import InvertibilityQuery, "
+            "find_vanishing_witness; "
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "before = peak(); "
+            "witness = find_vanishing_witness(InvertibilityQuery(1, 2_000_001)); "
+            "print(witness, peak() - before)")
+    result = run_isolated(["-c", code], timeout=60)
+    witness, grown = result.stdout.split()
+    assert witness == "None" and int(grown) < 20 * 1024
+
+
+def test_paired_cosines_skip_the_cyclotomic_division(monkeypatch):
+    # k and n - k cancel to the zero polynomial, divisible by every Phi_m.
+    # Regression: Phi_2n was formed first, and at n = 2 000 000 the d = 1
+    # witness k = n/2 did not come back within minutes.
+    result = run_isolated([
+        "-c", "from hueckel_green import InvertibilityQuery, "
+        "find_vanishing_witness; "
+        "print(find_vanishing_witness(InvertibilityQuery(1, 2_000_000)).ks)"],
+        timeout=60)
+    assert result.stdout == "(1000000,)\n"
+
+    def refused(m):
+        raise AssertionError(f"formed Phi_{m}")
+
+    monkeypatch.setattr(vanishing_sums, "_cyclotomic", refused)
+    assert cosine_sum_is_zero_exact(10, (5,))
+    assert cosine_sum_is_zero_exact(9, (2, 7, 4, 5))

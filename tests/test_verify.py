@@ -42,27 +42,25 @@ def test_certificate_matches_gauss_jordan(topology, seed):
             continue
         wrong = nudged(g, rng.randrange(n), rng.randrange(n))
         for candidate in (g, wrong):
-            assert (verify._inverse_certificate(h, candidate)
+            assert (verify._inverse_certificate(spec, candidate)
                     == (candidate == -inverse_exact(h)))
-        assert verify._inverse_certificate(h, g)
+        assert verify._inverse_certificate(spec, g)
 
 
 def test_certificate_rejects_wrong_shapes():
-    h = build_hamiltonian(ChainSpec(Topology.OPEN, 4))
-    g = verify.green_matrix(ChainSpec(Topology.OPEN, 4))
-    assert verify._inverse_certificate(h, g)
+    spec = ChainSpec(Topology.OPEN, 4)
+    g = verify.green_matrix(spec)
+    assert verify._inverse_certificate(spec, g)
     assert not verify._inverse_certificate(
-        h, verify.green_matrix(ChainSpec(Topology.OPEN, 2)))
+        spec, verify.green_matrix(ChainSpec(Topology.OPEN, 2)))
     assert not verify._inverse_certificate(
-        ExactMatrix.from_rows(h.to_lists()[:3]), g)
-    assert not verify._inverse_certificate(
-        h, ExactMatrix.from_rows([row[:3] for row in g.to_lists()]))
+        spec, ExactMatrix.from_rows([row[:3] for row in g.to_lists()]))
 
 
 def test_certificate_rejects_every_inverse_of_a_singular_ring():
-    h = build_hamiltonian(ChainSpec(Topology.CYCLIC, 8))
+    spec = ChainSpec(Topology.CYCLIC, 8)
     with pytest.raises(SingularMatrix):
-        inverse_exact(h)
+        inverse_exact(build_hamiltonian(spec))
     rng = random.Random(3)
     eye = ExactMatrix.from_rows(identity_rows(8))
     made_up = [ExactMatrix.from_rows([[0] * 8] * 8), eye, -eye]
@@ -70,7 +68,7 @@ def test_certificate_rejects_every_inverse_of_a_singular_ring():
         [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(8)]
          for _ in range(8)]) for _ in range(20)]
     for g in made_up:
-        assert not verify._inverse_certificate(h, g)
+        assert not verify._inverse_certificate(spec, g)
 
 
 def failed_ids(suite):
@@ -114,6 +112,34 @@ def test_cyclic_identity_fails_on_a_wrong_column(monkeypatch, capsys):
     monkeypatch.setattr(verify, "cyclic_inverse_first_column", wrong_column)
     assert "cyclic.identity" in failed_ids("cyclic")
     assert cli_exit("cyclic", capsys) == 1
+
+
+def test_cyclic_kernel_fails_on_a_vector_outside_the_kernel(monkeypatch,
+                                                            capsys):
+    real = verify.cyclic_kernel_basis
+
+    def with_e0(n):
+        return (*real(n), (1,) + (0,) * (n - 1))     # H e_0 = e_1 + e_{N-1}
+
+    monkeypatch.setattr(verify, "cyclic_kernel_basis", with_e0)
+    assert "cyclic.kernel" in failed_ids("cyclic")
+    assert cli_exit("cyclic", capsys) == 1
+
+
+def test_only_the_determinant_table_builds_a_chain_hamiltonian(monkeypatch):
+    # The certificates read the bonds of H and the ring's first column;
+    # cyclic.det_table builds H for its independent Bareiss determinant.
+    real = verify.build_hamiltonian
+    built = []
+
+    def counted(spec):
+        built.append(spec.n_sites)
+        return real(spec)
+
+    monkeypatch.setattr(verify, "build_hamiltonian", counted)
+    for suite in ("open", "alternating", "cyclic"):
+        assert all(report(suite, 12).values())
+    assert built == list(range(2, 13))
 
 
 @pytest.mark.parametrize("suite,smallest", [

@@ -59,7 +59,11 @@ CSV and JSON.  And the closed-form matrices at the edge of the default
 memory guard: `green --method closed --format json` with N = 1022-1024 on
 open chains with (beta, alpha) = (1, 1) and (1/3, 2) and on rings with
 (1, 1) and (2, 2), and the uniform open chain again with `--transmission`
-(odd open chains and the rings N = 1024, N = 4k, exit 4).
+(odd open chains and the rings N = 1024, N = 4k, exit 4).  And every
+`verify` request of the benchmark's `cli_verify` workload at seeds 1-3
+(`perfbench/mix.py`), in its order and with its `--seed` and `--format`:
+all six suites near the sizes that workload draws, `cyclic` at `--max-n`
+38-42 and `alternating`, whose cases follow `--seed`, at 21-23.
 
 Then the library rows, calls that no command makes: `circulant_inverse_dft`
 on the circulants of the benchmark's `library` workload at seeds 5-7
@@ -253,6 +257,9 @@ def grid() -> list[list[str]]:
         requests.append(["green", "--topology", "open", "--n", str(n),
                          "--method", "closed", "--format", "json",
                          "--transmission"])
+    requests += [request["argv"] for seed in (1, 2, 3)
+                 for block in perfbench_mix().build("cli_verify", seed)
+                 for request in block]
     requests += [[CIRCULANT, *map(str, column)]
                  for column in circulant_columns()]
     return requests + [[kernel, *matrix] for matrix in exact_matrices()
@@ -264,13 +271,19 @@ EXACT_KERNELS = ("det_fraction_free", "inverse_exact")
 LIBRARY = (CIRCULANT, *EXACT_KERNELS)
 
 
-def circulant_columns() -> list[list[Fraction]]:
-    """The first columns of the library rows."""
+def perfbench_mix():
+    """The benchmark's request generator, `perfbench/mix.py`."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import mix
 
+    return mix
+
+
+def circulant_columns() -> list[list[Fraction]]:
+    """The first columns of the library rows."""
     columns = [list(map(Fraction, request["params"]["column"]))
-               for seed in (5, 6, 7) for block in mix.build("library", seed)
+               for seed in (5, 6, 7)
+               for block in perfbench_mix().build("library", seed)
                for request in block if request["op"] == CIRCULANT]
     rng = random.Random(64)
 
